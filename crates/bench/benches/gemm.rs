@@ -10,7 +10,8 @@
 //! * `scalar` — the shape-classified dispatch frozen at the scalar level
 //!   (what `QTNSIM_FORCE_SCALAR` executes);
 //! * `auto` — the same dispatch at the probed SIMD level (what production
-//!   executes).
+//!   executes). Each record names both paths, so a narrow row shows the
+//!   AVX2 narrow kernel next to the scalar streaming loop.
 //!
 //! Results go to `BENCH_gemm.json` at the workspace root. This bench sits
 //! below `BENCH_amplitude_batch.json` / `BENCH_serve.json` in the stack:
@@ -20,6 +21,7 @@
 //! the end-to-end numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use qtn_bench::machine_json;
 use qtn_circuit::{OutputSpec, RqcConfig};
 use qtn_tensor::gemm::{gemm_flops, gemm_reference};
 use qtn_tensor::{c64, simd_level, Complex64, KernelPlan, SimdLevel};
@@ -124,6 +126,7 @@ fn bench_gemm(c: &mut Criterion) {
         let vs_reference = reference_seconds / auto_seconds;
         let vs_scalar = scalar_seconds / auto_seconds;
         let path = format!("{:?}", auto_plan.taken::<Complex64>());
+        let scalar_path = format!("{:?}", scalar_plan.taken::<Complex64>());
         eprintln!(
             "gemm/{m}x{n}x{k} (x{count} per sweep, {iters} iters): ref={:.1}ns scalar={:.1}ns \
              auto={:.1}ns [{path}] {vs_reference:.2}x vs reference, {vs_scalar:.2}x vs scalar",
@@ -141,6 +144,7 @@ fn bench_gemm(c: &mut Criterion) {
             .field_u64("flops_per_call", shape_flops)
             .field_usize("iters", iters)
             .field_str("path", &path)
+            .field_str("scalar_path", &scalar_path)
             .field_f64("reference_seconds_per_call", reference_seconds / iters as f64)
             .field_f64("scalar_seconds_per_call", scalar_seconds / iters as f64)
             .field_f64("auto_seconds_per_call", auto_seconds / iters as f64)
@@ -153,12 +157,12 @@ fn bench_gemm(c: &mut Criterion) {
     config
         .field_str("circuit", "rqc-3x4x10-seed5")
         .field_usize("target_rank", 8)
-        .field_str("simd_level", level.as_str())
         .field_usize("shapes_total", histogram.len())
         .field_usize("shapes_timed", timed.len());
     let mut top = JsonObject::new();
     top.field_str("schema", "qtnsim-bench/gemm")
-        .field_u64("version", 1)
+        .field_u64("version", 2)
+        .field_raw("machine", &machine_json())
         .field_raw("config", &config.finish())
         .field_raw("results", &array(records));
     let json = format!("{}\n", top.finish());

@@ -9,9 +9,11 @@
 #![warn(missing_docs)]
 
 use qtn_circuit::{circuit_to_network, Circuit, OutputSpec, RqcConfig};
+use qtn_tensor::simd_level;
 use qtn_tensornet::{
     extract_stem, random_greedy_paths, simplify_network, ContractionTree, Stem, TensorNetwork,
 };
+use qtnsim_core::json::JsonObject;
 
 /// A planned workload: the network, the chosen contraction tree and its stem.
 pub struct PlannedNetwork {
@@ -52,6 +54,30 @@ fn plan_circuit(circuit: Circuit, seed: u64, path_candidates: usize) -> PlannedN
     let tree = ContractionTree::from_pairs(&network, &pairs);
     let stem = extract_stem(&tree);
     PlannedNetwork { circuit, network, tree, stem }
+}
+
+/// Machine metadata for a `BENCH_*.json` record, as a JSON object: CPU
+/// model (from `/proc/cpuinfo` on Linux, else `"unknown"`), logical cores,
+/// architecture, OS and the effective SIMD level. Wall times mean little
+/// without it.
+pub fn machine_json() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|line| line.starts_with("model name"))
+                .and_then(|line| line.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let mut o = JsonObject::new();
+    o.field_str("cpu", &cpu)
+        .field_usize("logical_cores", cores)
+        .field_str("arch", std::env::consts::ARCH)
+        .field_str("os", std::env::consts::OS)
+        .field_str("simd_level", simd_level().as_str());
+    o.finish()
 }
 
 /// Parse a `NAME=value` style argument from the command line, with a default.

@@ -44,13 +44,20 @@ impl Drop for FaultGuard {
 /// (still clearing any env-installed plan so tests are order-independent).
 fn arm(spec: &str) -> FaultGuard {
     static SUITE: Mutex<()> = Mutex::new(());
-    let guard = SUITE.lock().unwrap_or_else(|e| e.into_inner());
+    let guard = FaultGuard(SUITE.lock().unwrap_or_else(|e| e.into_inner()));
+    install(spec);
+    guard
+}
+
+/// Replace the installed plan; call only while holding [`arm`]'s guard.
+/// Tests that need a fault-free ground truth arm `""`, compute it, then
+/// install their plan, so no other test's plan can fire inside it.
+fn install(spec: &str) {
     if spec.is_empty() {
         fault::install(None);
     } else {
         fault::install(Some(FaultPlan::parse(spec).expect("valid fault spec")));
     }
-    FaultGuard(guard)
 }
 
 fn sliced_circuit(seed: u64) -> Circuit {
@@ -74,7 +81,8 @@ fn random_bitstrings(n: usize, count: usize, seed: u64) -> Vec<Vec<u8>> {
     (0..count).map(|_| (0..n).map(|_| rng.gen_range(0..2u32) as u8).collect()).collect()
 }
 
-/// Ground truth from a direct engine run (computed before faults arm).
+/// Ground truth from a direct engine run. Call it under `arm("")`, before
+/// the test installs its faults.
 fn direct_amplitude(circuit: &Circuit, bits: &[u8]) -> qtnsim::Complex64 {
     let engine = Engine::with_configs(planner(), executor());
     let compiled =
@@ -89,9 +97,9 @@ fn direct_amplitude(circuit: &Circuit, bits: &[u8]) -> qtnsim::Complex64 {
 fn worker_panics_fail_only_their_batch_and_the_service_keeps_serving() {
     let circuit = sliced_circuit(5);
     let zeros = vec![0u8; circuit.num_qubits()];
+    let _guard = arm("");
     let expected = direct_amplitude(&circuit, &zeros);
 
-    let _guard = arm("");
     let server = Server::bind("127.0.0.1:0", config(BatchConfig::default())).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
@@ -128,9 +136,10 @@ fn worker_panics_fail_only_their_batch_and_the_service_keeps_serving() {
 fn pool_allocation_failure_is_contained_like_a_worker_panic() {
     let circuit = sliced_circuit(7);
     let zeros = vec![0u8; circuit.num_qubits()];
+    let _guard = arm("");
     let expected = direct_amplitude(&circuit, &zeros);
+    install("pool_alloc:nth=1");
 
-    let _guard = arm("pool_alloc:nth=1");
     let server = Server::bind("127.0.0.1:0", config(BatchConfig::default())).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
@@ -255,12 +264,13 @@ fn queued_requests_past_their_deadline_are_shed_at_dispatch() {
 fn retrying_client_reconnects_through_transport_faults() {
     let circuit = sliced_circuit(11);
     let zeros = vec![0u8; circuit.num_qubits()];
+    let _guard = arm("");
     let expected = direct_amplitude(&circuit, &zeros);
 
     // read_io hit 1 is the first connection's first poll; write_io hit 2
     // is the second connection's response write (hit 1 is the first
     // connection's dying error frame).
-    let _guard = arm("seed=3 read_io:nth=1 write_io:nth=2");
+    install("seed=3 read_io:nth=1 write_io:nth=2");
     let server = Server::bind("127.0.0.1:0", config(BatchConfig::default())).expect("bind");
     let mut client = RetryingClient::connect(
         server.local_addr(),

@@ -11,6 +11,8 @@
 //!    sequentially or concurrently from many threads — are bit-identical,
 //!    because every kernel freezes its dispatch at plan compile time and
 //!    fixes its summation order.
+//! 3. **No demotion.** On an AVX2+FMA host every micro, narrow and blocked
+//!    contraction takes its SIMD kernel; only the GEMV shapes stay scalar.
 //!
 //! Tests serialize on a file-scoped mutex: the SIMD override is
 //! process-global, and a concurrently running test could otherwise observe
@@ -111,6 +113,37 @@ fn simd_and_scalar_plans_agree_within_tolerance() {
             (*s - *sc).abs() <= CROSS_PATH_TOL,
             "batched SIMD vs scalar diverged for {b:?}: {s:?} vs {sc:?}"
         );
+    }
+}
+
+/// On an AVX2+FMA host the plan's only scalar GEMMs are the GEMV shapes:
+/// every micro, narrow (short rows included) and blocked dispatch is
+/// SIMD. Under `QTNSIM_FORCE_SCALAR=1` (or a scalar host) nothing is.
+#[test]
+fn only_gemv_shapes_stay_scalar() {
+    let _guard = lock();
+    let _restore = RestoreOverride;
+    set_simd_override(None);
+    let circuit = sliced_circuit();
+    let n = circuit.num_qubits();
+    let engine = Engine::with_configs(planner(), executor());
+    let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
+    let bits = bitstrings(n);
+    let batch: Vec<&[u8]> = bits.iter().map(Vec::as_slice).collect();
+    let single = compiled.execute_amplitude(&bits[0]).unwrap().1.stats;
+    let batched = compiled.execute_amplitudes(&batch).unwrap().1.stats;
+    for stats in [single, batched] {
+        assert!(stats.gemm_narrow > 0, "the 3x4x10 plan dispatches narrow shapes");
+        match simd_level() {
+            SimdLevel::Avx2Fma => assert_eq!(
+                stats.gemm_simd,
+                stats.gemm_micro + stats.gemm_narrow + stats.gemm_blocked,
+                "only GEMV may stay scalar at avx2-fma"
+            ),
+            SimdLevel::Scalar => assert_eq!(stats.gemm_simd, 0),
+            // NEON routes only the blocked class to a separate kernel.
+            SimdLevel::Neon => assert_eq!(stats.gemm_simd, stats.gemm_blocked),
+        }
     }
 }
 

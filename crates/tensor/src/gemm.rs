@@ -8,7 +8,9 @@
 //!   effective for square-ish shapes;
 //! * [`gemm_narrow`] — a simple streaming kernel for the *narrow* shapes
 //!   (two of `m`, `n`, `k` ≤ 16) that dominate quantum-circuit contractions
-//!   and are bandwidth- rather than compute-bound;
+//!   (at AVX2+FMA the dispatcher runs a hand-written interleaved kernel
+//!   instead: these operands sit in L1, so instruction count, not
+//!   bandwidth, sets their speed);
 //! * [`gemv_row`] / [`gemv_col`] — the degenerate `m == 1` / `n == 1`
 //!   products;
 //! * [`gemm_reference`] — the naive triple loop every other path is
@@ -101,19 +103,18 @@ pub fn gemv_col<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize) {
     }
 }
 
+/// Operand lengths must match the shape. The SIMD kernels index through
+/// raw pointers on the strength of this check, so it is an `assert!` and
+/// the products are overflow-checked.
 pub(crate) fn check_shapes<T>(a: &[T], b: &[T], c: &[T], m: usize, n: usize, k: usize) {
-    assert_eq!(a.len(), m * k, "A has wrong length");
-    assert_eq!(b.len(), k * n, "B has wrong length");
-    assert_eq!(c.len(), m * n, "C has wrong length");
+    assert_eq!(Some(a.len()), m.checked_mul(k), "A has wrong length");
+    assert_eq!(Some(b.len()), k.checked_mul(n), "B has wrong length");
+    assert_eq!(Some(c.len()), m.checked_mul(n), "C has wrong length");
 }
 
 /// Streaming kernel for narrow shapes: plain triple loop ordered for
-/// sequential access of `B` and `C`.
-///
-/// `#[inline(always)]` so the AVX2+FMA twin in the kernels module compiles
-/// this same body under `#[target_feature]`; the scalar instantiation is
-/// unchanged.
-#[inline(always)]
+/// sequential access of `B` and `C`. The scalar narrow path; the AVX2+FMA
+/// one is a separate hand-written kernel in the kernels module.
 pub fn gemm_narrow<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize) {
     check_shapes(a, b, c, m, n, k);
     for i in 0..m {

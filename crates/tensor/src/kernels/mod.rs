@@ -7,12 +7,19 @@
 //!
 //! * **Shape axis** ([`DispatchClass`]): fully unrolled micro-kernels for the
 //!   rank-2 hot shapes (`m`/`n` ∈ {1, 2, 4}, `k` ∈ {2, 4, 8}), GEMV row/col
-//!   for degenerate products, the streaming narrow kernel, and the
-//!   packed/blocked kernel for everything square-ish.
+//!   for degenerate products, the narrow kernel for skinny shapes (two of
+//!   `m`, `n`, `k` ≤ 16), and the packed/blocked kernel for everything
+//!   square-ish.
 //! * **Hardware axis** ([`SimdLevel`]): a one-time capability probe (AVX2+FMA
-//!   on x86_64, NEON on aarch64) selects split-real SIMD variants of the
+//!   on x86_64, NEON on aarch64) selects the SIMD variants of the
 //!   compute-bound classes; the scalar kernels in [`crate::gemm`] are
 //!   preserved untouched as the reference path.
+//!
+//! At AVX2+FMA the narrow and blocked classes run hand-written intrinsics
+//! (`avx2.rs`): narrow shapes work in place on interleaved complex data,
+//! blocked shapes on packed split-real panels. The micro-kernels are the
+//! scalar bodies recompiled under `#[target_feature]`. Every class with a
+//! SIMD variant takes it at every shape; only GEMV stays scalar.
 //!
 //! A [`KernelPlan`] freezes both axes. [`crate::ContractionKernel`] resolves
 //! its plan once at compile time, so the executor's zero-alloc steady state
@@ -31,12 +38,6 @@ mod packed;
 pub(crate) mod simd;
 
 pub use micro::{is_micro_shape, MICRO_K, MICRO_MN};
-
-/// Minimum `n` for a narrow shape to take the SIMD twin: the streaming
-/// kernel vectorizes along rows of `B`/`C`, and with fewer columns than
-/// this the twin's per-call and shuffle overhead measurably loses to the
-/// plain scalar body (see `BENCH_gemm.json`).
-pub const NARROW_SIMD_MIN_N: usize = 32;
 
 use crate::complex::Scalar;
 use crate::gemm::{check_shapes, gemm, gemm_narrow, gemv_col, gemv_row, is_narrow};
@@ -165,7 +166,7 @@ pub fn simd_level() -> SimdLevel {
 pub struct SimdSupport {
     /// SIMD variant of the unrolled micro-kernels.
     pub micro: bool,
-    /// SIMD variant of the streaming narrow kernel.
+    /// SIMD variant of the narrow kernel.
     pub narrow: bool,
     /// Split-real packed/blocked kernel.
     pub blocked: bool,
@@ -188,7 +189,8 @@ pub enum DispatchClass {
     GemvRow,
     /// `n == 1`: matrix times column vector.
     GemvCol,
-    /// Two of `m`, `n`, `k` ≤ 16: streaming kernel.
+    /// Two of `m`, `n`, `k` ≤ 16: narrow kernel (streaming loop when
+    /// scalar, in-place interleaved FMA kernel at AVX2+FMA).
     Narrow,
     /// Square-ish shapes: packed/blocked kernel.
     Blocked,
@@ -232,14 +234,9 @@ impl KernelPlan {
     ///
     /// Priority: micro shapes first (they are also narrow by the size
     /// heuristic, but the unrolled kernels win), then the degenerate GEMV
-    /// shapes, then narrow, then blocked.
-    ///
-    /// One shape-aware SIMD demotion: the narrow SIMD twin streams rows of
-    /// `B` and `C`, so its vectorization only pays off when those rows are
-    /// long; below [`NARROW_SIMD_MIN_N`] columns the plan freezes the
-    /// scalar body instead (and the tally honestly reports a scalar path).
+    /// shapes, then narrow, then blocked. The level is frozen as given:
+    /// every class with a SIMD variant takes it at every shape.
     pub fn select_with_level(m: usize, n: usize, k: usize, level: SimdLevel) -> Self {
-        let mut level = level;
         let class = if micro::is_micro_shape(m, n, k) {
             DispatchClass::Micro { m: m as u8, n: n as u8, k: k as u8 }
         } else if m == 1 {
@@ -247,9 +244,6 @@ impl KernelPlan {
         } else if n == 1 {
             DispatchClass::GemvCol
         } else if is_narrow(m, n, k) {
-            if n < NARROW_SIMD_MIN_N {
-                level = SimdLevel::Scalar;
-            }
             DispatchClass::Narrow
         } else {
             DispatchClass::Blocked
@@ -438,6 +432,23 @@ mod tests {
         assert_eq!(KernelPlan::select(8, 1, 16).class(), GemvCol);
         assert_eq!(KernelPlan::select(128, 4, 2).class(), Narrow);
         assert_eq!(KernelPlan::select(64, 64, 64).class(), Blocked);
+        // Narrow shapes keep the level they were selected at, short rows
+        // included: there is no shape-dependent demotion.
+        for (m, n, k) in [(128, 4, 2), (16, 2, 4), (3, 3, 3), (8, 100, 16)] {
+            for level in [SimdLevel::Scalar, SimdLevel::Neon, SimdLevel::Avx2Fma] {
+                let plan = KernelPlan::select_with_level(m, n, k, level);
+                assert_eq!((plan.class(), plan.level()), (Narrow, level), "({m},{n},{k})");
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            KernelPlan::select_with_level(16, 2, 4, SimdLevel::Avx2Fma).taken::<crate::Complex64>(),
+            GemmPath::NarrowSimd
+        );
+        assert_eq!(
+            KernelPlan::select_with_level(16, 2, 4, SimdLevel::Scalar).taken::<crate::Complex64>(),
+            GemmPath::NarrowScalar
+        );
         // Degenerate dims never panic in classification.
         assert_eq!(KernelPlan::select(0, 64, 64).class(), Blocked);
         assert_eq!(KernelPlan::select(1, 0, 0).class(), GemvRow);

@@ -9,13 +9,14 @@
 //!
 //! Two acceleration strategies appear:
 //!
-//! * **Intrinsics** — `Complex64` blocked panels use the hand-written
-//!   AVX2+FMA tile in [`super::avx2`].
-//! * **`#[target_feature]` twins** — the micro-kernels, the narrow kernel
-//!   and the `Complex32` packed driver reuse the *scalar* bodies compiled a
-//!   second time in an AVX2+FMA context, where LLVM unrolls, vectorizes and
-//!   fuses them. Same code, different instruction selection; the scalar
-//!   originals stay untouched as the reference path.
+//! * **Intrinsics** ([`super::avx2`]) — the narrow kernel for both
+//!   precisions (in place on interleaved complex data, 2 `Complex64` or 4
+//!   `Complex32` values per ymm register) and the `Complex64` blocked tile.
+//! * **`#[target_feature]` twins** — the micro-kernels and the `Complex32`
+//!   packed driver reuse the *scalar* bodies compiled a second time in an
+//!   AVX2+FMA context, where LLVM unrolls, vectorizes and fuses them. Same
+//!   code, different instruction selection; the scalar originals stay
+//!   untouched as the reference path.
 //!
 //! On aarch64, NEON is a baseline feature: the portable bodies already
 //! compile to vector code, so only the split-real blocked driver (whose
@@ -54,22 +55,6 @@ mod x86 {
         micro::run_scalar(a, b, c, m, n, k)
     }
 
-    /// Streaming narrow kernel compiled with AVX2+FMA codegen.
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn narrow_avx2<T: Scalar>(
-        a: &[T],
-        b: &[T],
-        c: &mut [T],
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        gemm_narrow(a, b, c, m, n, k)
-    }
-
     /// Split-real packed driver with the portable tile, compiled with
     /// AVX2+FMA codegen (used for `Complex32`, whose f32 planes vectorize
     /// 8-wide without hand intrinsics).
@@ -91,7 +76,7 @@ mod x86 {
 }
 
 macro_rules! simd_entries {
-    ($mod_name:ident, $ty:ty, $arena:ident, $blocked_avx2:expr) => {
+    ($mod_name:ident, $ty:ty, $arena:ident, $narrow_avx2:expr, $blocked_avx2:expr) => {
         /// SIMD entry points for this precision (see module docs).
         pub(crate) mod $mod_name {
             use super::*;
@@ -140,7 +125,7 @@ macro_rules! simd_entries {
                 match level {
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: Avx2Fma is only dispatched after runtime detection.
-                    SimdLevel::Avx2Fma => unsafe { x86::narrow_avx2(a, b, c, m, n, k) },
+                    SimdLevel::Avx2Fma => unsafe { $narrow_avx2(a, b, c, m, n, k) },
                     _ => gemm_narrow(a, b, c, m, n, k),
                 }
             }
@@ -171,13 +156,25 @@ macro_rules! simd_entries {
 }
 
 #[cfg(target_arch = "x86_64")]
-simd_entries!(c64_simd, Complex64, PACK_F64, super::super::avx2::gemm_avx2_c64);
+simd_entries!(
+    c64_simd,
+    Complex64,
+    PACK_F64,
+    super::super::avx2::gemm_narrow_c64,
+    super::super::avx2::gemm_avx2_c64
+);
 #[cfg(target_arch = "x86_64")]
-simd_entries!(c32_simd, Complex32, PACK_F32, x86::packed_avx2_c32);
+simd_entries!(
+    c32_simd,
+    Complex32,
+    PACK_F32,
+    super::super::avx2::gemm_narrow_c32,
+    x86::packed_avx2_c32
+);
 
 // Off x86_64 there is no AVX2 entry to name; pass a never-taken stub so the
 // macro body stays uniform.
 #[cfg(not(target_arch = "x86_64"))]
-simd_entries!(c64_simd, Complex64, PACK_F64, unreachable_blocked_c64);
+simd_entries!(c64_simd, Complex64, PACK_F64, unreachable_narrow, unreachable_blocked_c64);
 #[cfg(not(target_arch = "x86_64"))]
-simd_entries!(c32_simd, Complex32, PACK_F32, unreachable_blocked_c32);
+simd_entries!(c32_simd, Complex32, PACK_F32, unreachable_narrow, unreachable_blocked_c32);

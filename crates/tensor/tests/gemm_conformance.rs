@@ -8,16 +8,22 @@
 //! floating-point bound on random inputs. A dispatch-counter delta test
 //! proves each path was *actually executed*, not merely selected.
 //!
+//! The narrow kernel gets its own coverage: every narrow shape the real
+//! 3x4x10 and 4x5x12 plans dispatch, plus odd rows, odd columns and the
+//! register-block boundaries of the AVX2 kernel, for both precisions.
+//!
 //! Tests serialize on a file-scoped mutex: the SIMD override and the
 //! dispatch counters are process-global, and counter deltas are only exact
 //! at quiescent points.
 
+use qtn_circuit::{OutputSpec, RqcConfig};
 use qtn_tensor::gemm::gemm_reference;
 use qtn_tensor::kernels::micro_scalar;
 use qtn_tensor::{
     c32, c64, dispatch_counts, set_simd_override, simd_level, Complex32, Complex64, DispatchClass,
     DispatchCounts, GemmPath, KernelPlan, SimdLevel,
 };
+use qtnsim_core::{plan_simulation, PlannerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -62,10 +68,13 @@ fn grid() -> Vec<(usize, usize, usize)> {
         (1, 64, 128),
         (23, 1, 40),
         (1, 1, 64),
-        // Narrow (two dims <= 16), including the boundary (16, 16, 16).
+        // Narrow (two dims <= 16), including the boundary (16, 16, 16),
+        // long rows and short rows (row pairs, a leftover row, odd n).
         (8, 100, 16),
         (100, 3, 8),
         (16, 16, 16),
+        (64, 4, 4),
+        (7, 2, 4),
         // Blocked: one below / exactly at / one above the 32/64/64 packing
         // panels, plus non-power-of-two remainders in every dimension.
         (31, 63, 65),
@@ -246,8 +255,10 @@ fn scalar_micro_kernels_bit_identical_to_reference() {
 }
 
 /// Zero dims leave `C` bit-for-bit untouched on every path (for `k == 0`
-/// the kernels add an exact zero, which preserves every finite nonzero
-/// value; `m == 0` / `n == 0` make `C` empty).
+/// the kernels add an exact zero or skip the product, which preserves every
+/// finite value; `m == 0` / `n == 0` make `C` empty). The narrow kernel is
+/// also forced onto each shape, for both precisions, with a negative zero
+/// in `C` (adding `+0.0` would flip it).
 #[test]
 fn degenerate_dims_leave_c_untouched() {
     let _guard = lock();
@@ -266,6 +277,34 @@ fn degenerate_dims_leave_c_untouched() {
             }
         }
     }
+    for &(m, n, k) in &[(0usize, 5usize, 7usize), (5, 0, 7), (5, 7, 0), (3, 9, 0), (2, 4, 0)] {
+        let mut rng = StdRng::seed_from_u64(78);
+        let a = random_c64(&mut rng, m * k);
+        let b = random_c64(&mut rng, k * n);
+        let mut dirty = random_c64(&mut rng, m * n);
+        let a32 = random_c32(&mut rng, m * k);
+        let b32 = random_c32(&mut rng, k * n);
+        let mut dirty32 = random_c32(&mut rng, m * n);
+        if let (Some(z), Some(z32)) = (dirty.first_mut(), dirty32.first_mut()) {
+            *z = c64(-0.0, -0.0);
+            *z32 = c32(-0.0, -0.0);
+        }
+        for level in levels() {
+            let plan = KernelPlan::forced(DispatchClass::Narrow, level);
+            let mut c = dirty.clone();
+            plan.apply(&a, &b, &mut c, m, n, k);
+            let mut c32s = dirty32.clone();
+            plan.apply(&a32, &b32, &mut c32s, m, n, k);
+            for (g, d) in c.iter().zip(dirty.iter()) {
+                assert_eq!(g.re.to_bits(), d.re.to_bits(), "narrow ({m},{n},{k}) clobbered C");
+                assert_eq!(g.im.to_bits(), d.im.to_bits(), "narrow ({m},{n},{k}) clobbered C");
+            }
+            for (g, d) in c32s.iter().zip(dirty32.iter()) {
+                assert_eq!(g.re.to_bits(), d.re.to_bits(), "narrow c32 ({m},{n},{k}) clobbered C");
+                assert_eq!(g.im.to_bits(), d.im.to_bits(), "narrow c32 ({m},{n},{k}) clobbered C");
+            }
+        }
+    }
 }
 
 /// Repeated application of one frozen plan is bit-identical run to run —
@@ -273,7 +312,10 @@ fn degenerate_dims_leave_c_untouched() {
 #[test]
 fn repeated_application_is_bit_identical() {
     let _guard = lock();
-    for &(m, n, k) in &[(4usize, 4usize, 8usize), (16, 16, 16), (33, 65, 63)] {
+    // Micro, narrow (row pairs, odd rows, odd columns, long rows) and
+    // blocked shapes.
+    let shapes = [(4usize, 4usize, 8usize), (16, 16, 16), (64, 4, 4), (7, 3, 16), (3, 1024, 4)];
+    for &(m, n, k) in shapes.iter().chain(&[(33, 65, 63)]) {
         for level in levels() {
             let plan = KernelPlan::select_with_level(m, n, k, level);
             let mut rng = StdRng::seed_from_u64(4242);
@@ -287,6 +329,109 @@ fn repeated_application_is_bit_identical() {
                 for (x, y) in again.iter().zip(first.iter()) {
                     assert_eq!(x.re.to_bits(), y.re.to_bits());
                     assert_eq!(x.im.to_bits(), y.im.to_bits());
+                }
+            }
+        }
+    }
+}
+
+/// Every narrow `(m, n, k)` in the GEMM shape histograms of the plans the
+/// benchmarks run: the 3x4x10 RQC at target rank 8 (single amplitude) and
+/// the 4x5x12 RQC at target rank 12 with qubits 0-5 open.
+fn plan_narrow_shapes() -> Vec<(usize, usize, usize)> {
+    let small = RqcConfig::small(3, 4, 10, 5).build();
+    let large = RqcConfig::small(4, 5, 12, 5).build();
+    let cases = [
+        (&small, OutputSpec::Amplitude(vec![0; small.num_qubits()]), 8),
+        (
+            &large,
+            OutputSpec::Open { fixed: vec![0; large.num_qubits()], open: (0..6).collect() },
+            12,
+        ),
+    ];
+    let mut shapes = Vec::new();
+    for (circuit, spec, target_rank) in cases {
+        let plan =
+            plan_simulation(circuit, &spec, &PlannerConfig { target_rank, ..Default::default() });
+        for ((m, n, k), _) in plan.gemm_shape_histogram() {
+            let class = KernelPlan::select_with_level(m, n, k, SimdLevel::Scalar).class();
+            if class == DispatchClass::Narrow && !shapes.contains(&(m, n, k)) {
+                shapes.push((m, n, k));
+            }
+        }
+    }
+    shapes
+}
+
+/// The narrow kernel on the shapes real plans dispatch, both precisions,
+/// from a dirty `C`. At a SIMD level every one of them takes the SIMD
+/// kernel: no narrow shape is demoted to scalar.
+#[test]
+fn narrow_kernel_matches_reference_on_plan_shapes() {
+    let _guard = lock();
+    let shapes = plan_narrow_shapes();
+    assert!(shapes.len() >= 8, "the plans must dispatch narrow shapes, got {shapes:?}");
+    for (idx, &(m, n, k)) in shapes.iter().enumerate() {
+        for level in levels() {
+            let plan = KernelPlan::select_with_level(m, n, k, level);
+            assert_eq!(plan.class(), DispatchClass::Narrow);
+            assert_eq!(plan.level(), level, "({m},{n},{k}) must keep its level");
+            let support = <Complex64 as qtn_tensor::Scalar>::simd_support(level);
+            if support.narrow {
+                assert_eq!(plan.taken::<Complex64>(), GemmPath::NarrowSimd);
+                assert_eq!(plan.taken::<Complex32>(), GemmPath::NarrowSimd);
+            }
+            apply_vs_reference_c64(plan, m, n, k, 0xA11 + idx as u64);
+            apply_vs_reference_c32(plan, m, n, k, 0xB22 + idx as u64);
+        }
+    }
+}
+
+/// The narrow kernel's register blocks and tails: odd and even row counts
+/// (row pairs plus a leftover row), column counts on both sides of every
+/// block width (1, 2 and 4 registers of 2 or 4 complex values) and the
+/// scalar column tail, short and long `k`.
+#[test]
+fn narrow_kernel_covers_odd_rows_columns_and_block_tails() {
+    let _guard = lock();
+    let mut idx = 0;
+    for m in [1usize, 2, 3, 7, 16] {
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 16, 17, 32, 1024] {
+            for k in [1usize, 2, 4, 16, 64] {
+                for level in levels() {
+                    let plan = KernelPlan::forced(DispatchClass::Narrow, level);
+                    apply_vs_reference_c64(plan, m, n, k, 0xC33 + idx);
+                    apply_vs_reference_c32(plan, m, n, k, 0xD44 + idx);
+                }
+                idx += 1;
+            }
+        }
+    }
+}
+
+/// Each output element of the narrow kernel is summed in one fixed order,
+/// whichever register block or tail computes it: a product equals, bit for
+/// bit, the same product computed one column at a time.
+#[test]
+fn narrow_kernel_summation_order_is_blocking_invariant() {
+    let _guard = lock();
+    for &(m, n, k) in &[(5usize, 19usize, 16usize), (4, 4, 4), (3, 1024, 2)] {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let a = random_c64(&mut rng, m * k);
+        let b = random_c64(&mut rng, k * n);
+        let dirty = random_c64(&mut rng, m * n);
+        for level in levels() {
+            let plan = KernelPlan::forced(DispatchClass::Narrow, level);
+            let mut whole = dirty.clone();
+            plan.apply(&a, &b, &mut whole, m, n, k);
+            for j in 0..n {
+                let b_col: Vec<Complex64> = (0..k).map(|p| b[p * n + j]).collect();
+                let mut col: Vec<Complex64> = (0..m).map(|i| dirty[i * n + j]).collect();
+                plan.apply(&a, &b_col, &mut col, m, 1, k);
+                for (i, got) in col.iter().enumerate() {
+                    let want = whole[i * n + j];
+                    assert_eq!(got.re.to_bits(), want.re.to_bits(), "({m},{n},{k}) [{i},{j}] re");
+                    assert_eq!(got.im.to_bits(), want.im.to_bits(), "({m},{n},{k}) [{i},{j}] im");
                 }
             }
         }
@@ -349,6 +494,13 @@ fn every_reachable_path_is_executed_and_counted() {
     let eff = simd_level();
     if eff != SimdLevel::Scalar {
         let support = <Complex64 as qtn_tensor::Scalar>::simd_support(eff);
+        // No narrow shape is demoted: at the SIMD level every narrow
+        // plan of the grid takes the SIMD kernel, short rows included.
+        for &(plan, m, n, k) in &applies {
+            if plan.level() == eff && plan.class() == DispatchClass::Narrow && support.narrow {
+                assert_eq!(plan.taken::<Complex64>(), GemmPath::NarrowSimd, "({m},{n},{k})");
+            }
+        }
         for (on, path) in [
             (support.micro, GemmPath::MicroSimd),
             (support.narrow, GemmPath::NarrowSimd),
