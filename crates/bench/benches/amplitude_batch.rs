@@ -5,12 +5,14 @@
 //! replays the whole slice-dependent stem once per bitstring; the batched
 //! path (`execute_amplitudes`) contracts each subtask's projector-free
 //! StemPure prefix once per slice assignment and replays the StemMixed
-//! suffix once per distinct *dependent-bits key* (plus one deduped frontier
-//! build per bitstring). This bench times both sides at batch sizes
+//! suffix and the frontier once per distinct *dependent-bits key*. This
+//! bench times both sides at batch sizes
 //! B ∈ {1, 8, 64} on the 3x4x10 RQC planned at `|S| = 4` (16 subtasks) and
 //! emits machine-readable results to `BENCH_amplitude_batch.json` at the
-//! workspace root, one record per batch size with wall times, flop bills,
-//! the measured speedup and the `stem_mixed_*` dedup counters.
+//! workspace root (schema v4): the machine it ran on, then one record per
+//! batch size with wall times (median and quartiles), the serial front end
+//! of a batched call (`prepare_seconds`), flop bills, the measured speedup
+//! and the `stem_mixed_*` dedup counters.
 //!
 //! Both sides run on the same compiled plan with warm branch caches and
 //! buffer pools, so the comparison prices exactly what batching changes:
@@ -24,6 +26,7 @@
 //! forced-scalar jobs.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use qtn_bench::{machine_json, Timing};
 use qtn_circuit::{OutputSpec, RqcConfig};
 use qtnsim_core::json::{array, JsonObject};
 use qtnsim_core::{CompiledCircuit, Engine, ExecutorConfig, PlannerConfig};
@@ -61,12 +64,7 @@ fn compile(planner: &PlannerConfig) -> (CompiledCircuit, usize) {
     (compiled, n)
 }
 
-fn median_seconds(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Time one batch size on both sides and return the v3 JSON record.
+/// Time one batch size on both sides and return the v4 JSON record.
 fn measure(compiled: &CompiledCircuit, n: usize, batch_size: usize, reps: usize) -> String {
     let bits = bitstrings(n, batch_size);
     let batch: Vec<&[u8]> = bits.iter().map(Vec::as_slice).collect();
@@ -81,26 +79,31 @@ fn measure(compiled: &CompiledCircuit, n: usize, batch_size: usize, reps: usize)
         compiled.execute_amplitude(bs).expect("sequential warm lap");
     }
     let mut batched_samples = Vec::with_capacity(reps);
+    let mut prepare_samples = Vec::with_capacity(reps);
     let mut sequential_samples = Vec::with_capacity(reps);
     for _ in 0..reps {
         let start = Instant::now();
-        compiled.execute_amplitudes(&batch).expect("batched execute");
+        let (_, report) = compiled.execute_amplitudes(&batch).expect("batched execute");
         batched_samples.push(start.elapsed().as_secs_f64());
+        prepare_samples.push(report.stats.prepare_seconds);
         let start = Instant::now();
         for bs in &bits {
             compiled.execute_amplitude(bs).expect("single execute");
         }
         sequential_samples.push(start.elapsed().as_secs_f64());
     }
-    let batched_seconds = median_seconds(batched_samples);
-    let sequential_seconds = median_seconds(sequential_samples);
+    let batched = Timing::of(&batched_samples);
+    let sequential = Timing::of(&sequential_samples);
+    let prepare = Timing::of(&prepare_samples);
+    let (batched_seconds, sequential_seconds) = (batched.median, sequential.median);
     let (_, report) = compiled.execute_amplitudes(&batch).expect("stats probe");
     let stats = &report.stats;
     let speedup = sequential_seconds / batched_seconds;
     eprintln!(
-        "amplitude_batch/B{batch_size}: batched={:.3}ms sequential={:.3}ms speedup={speedup:.2}x \
-         (pure {} flops reused, mixed {} flops deduped over {} distinct keys)",
+        "amplitude_batch/B{batch_size}: batched={:.3}ms (front end {:.3}ms) sequential={:.3}ms \
+         speedup={speedup:.2}x (pure {} flops reused, mixed {} flops deduped over {} distinct keys)",
         batched_seconds * 1e3,
+        prepare.median * 1e3,
         sequential_seconds * 1e3,
         stats.stem_pure_flops_reused,
         stats.stem_mixed_flops_reused,
@@ -125,6 +128,9 @@ fn measure(compiled: &CompiledCircuit, n: usize, batch_size: usize, reps: usize)
         .field_usize("subtasks", stats.subtasks_run)
         .field_f64("batched_seconds", batched_seconds)
         .field_f64("sequential_seconds", sequential_seconds)
+        .field_raw("batched_timing", &batched.to_json())
+        .field_raw("sequential_timing", &sequential.to_json())
+        .field_raw("prepare_seconds", &prepare.to_json())
         .field_f64("speedup", speedup)
         .field_u64("batched_flops", stats.flops)
         .field_u64("stem_pure_flops", stats.stem_pure_flops)
@@ -158,7 +164,8 @@ fn bench_amplitude_batch(c: &mut Criterion) {
         .field_raw("batch_sizes", "[1, 8, 64]");
     let mut top = JsonObject::new();
     top.field_str("schema", "qtnsim-bench/amplitude_batch")
-        .field_u64("version", 3)
+        .field_u64("version", 4)
+        .field_raw("machine", &machine_json())
         .field_raw("config", &config.finish())
         .field_raw("results", &array(records));
     let json = format!("{}\n", top.finish());

@@ -21,7 +21,7 @@
 //! the end-to-end numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qtn_bench::machine_json;
+use qtn_bench::{machine_json, Timing};
 use qtn_circuit::{OutputSpec, RqcConfig};
 use qtn_tensor::gemm::{gemm_flops, gemm_reference};
 use qtn_tensor::{c64, simd_level, Complex64, KernelPlan, SimdLevel};
@@ -64,28 +64,22 @@ fn deterministic_matrix(len: usize, salt: u64) -> Vec<Complex64> {
         .collect()
 }
 
-/// Median wall time of one *rep* (each rep runs `iters` kernel calls).
-fn median_seconds(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn time_path<F: FnMut()>(iters: usize, mut call: F) -> f64 {
     // One untimed warmup rep primes caches and the lazy SIMD probe.
     for _ in 0..iters {
         call();
     }
-    median_seconds(
-        (0..REPS)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..iters {
-                    call();
-                }
-                start.elapsed().as_secs_f64()
-            })
-            .collect(),
-    )
+    let samples: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                call();
+            }
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    // Median wall time of one *rep* (each rep runs `iters` kernel calls).
+    Timing::of(&samples).median
 }
 
 fn bench_gemm(c: &mut Criterion) {

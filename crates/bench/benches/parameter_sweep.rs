@@ -24,6 +24,7 @@
 //! forced-scalar jobs.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use qtn_bench::Timing;
 use qtn_circuit::{Circuit, OutputSpec, ParamSlot, RqcConfig};
 use qtnsim_core::json::{array, JsonObject};
 use qtnsim_core::{CompiledCircuit, Engine, ExecutorConfig, PlannerConfig};
@@ -96,11 +97,6 @@ fn sweep_angles(points: usize, salt: u64) -> Vec<f64> {
             (u - 0.5) * 6.0
         })
         .collect()
-}
-
-fn median_seconds(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 /// One full sweep on the rebind side: B rebind+execute laps on the shared
@@ -212,8 +208,8 @@ fn measure(points: usize, reps: usize, quick: bool) -> String {
         rebind_samples.push(run_rebind_sweep(&mut compiled, slot_index, &rep_angles, &bits));
         replan_samples.push(run_replan_sweep(&replan_engine, &slot, &rep_angles, &bits));
     }
-    let rebind_seconds = median_seconds(rebind_samples);
-    let replan_seconds = median_seconds(replan_samples);
+    let rebind_seconds = Timing::of(&rebind_samples).median;
+    let replan_seconds = Timing::of(&replan_samples).median;
     let speedup = replan_seconds / rebind_seconds;
     eprintln!(
         "parameter_sweep/B{points}: rebind={:.3}ms replan={:.3}ms per point, speedup={speedup:.1}x \

@@ -80,6 +80,36 @@ pub fn machine_json() -> String {
     o.finish()
 }
 
+/// The spread of repeated wall-clock samples: median and quartiles, by
+/// nearest rank. The one timing summary the `BENCH_*.json` writers share.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Timing {
+    /// Median sample, in seconds.
+    pub median: f64,
+    /// First quartile, in seconds.
+    pub q1: f64,
+    /// Third quartile, in seconds.
+    pub q3: f64,
+}
+
+impl Timing {
+    /// Summarize samples given in seconds. Panics on an empty sample set.
+    pub fn of(samples: &[f64]) -> Self {
+        assert!(!samples.is_empty(), "no timing samples");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let rank = |p: f64| sorted[((sorted.len() - 1) as f64 * p).round() as usize];
+        Timing { median: rank(0.5), q1: rank(0.25), q3: rank(0.75) }
+    }
+
+    /// The summary as a JSON object: `{"median": …, "q1": …, "q3": …}`.
+    pub fn to_json(&self) -> String {
+        let mut o = JsonObject::new();
+        o.field_f64("median", self.median).field_f64("q1", self.q1).field_f64("q3", self.q3);
+        o.finish()
+    }
+}
+
 /// Parse a `NAME=value` style argument from the command line, with a default.
 pub fn arg_or<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::args()
@@ -108,6 +138,16 @@ mod tests {
         assert_eq!(p.circuit.num_qubits(), 53);
         assert!(p.tree.total_log_cost() > 15.0);
         assert!(p.stem.max_rank() >= 10);
+    }
+
+    #[test]
+    fn timing_reports_median_and_quartiles() {
+        let t = Timing::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!(t, Timing { median: 3.0, q1: 2.0, q3: 4.0 });
+        // Even counts take the upper median, like the helpers it replaced.
+        assert_eq!(Timing::of(&[4.0, 1.0, 3.0, 2.0]).median, 3.0);
+        assert_eq!(Timing::of(&[7.0]), Timing { median: 7.0, q1: 7.0, q3: 7.0 });
+        assert!(Timing::of(&[1.0, 2.0]).to_json().contains("\"median\": 2"));
     }
 
     #[test]

@@ -264,7 +264,10 @@ impl NetworkBuild {
         self.rebind_output_in_place(bits)
     }
 
-    fn validate_bits(&self, bits: &[u8]) -> Result<(), RebindError> {
+    /// Check an output bitstring the way [`NetworkBuild::rebind_output`]
+    /// does, without building any tensor: its length must match the qubit
+    /// count, and every projected qubit's bit must be 0 or 1.
+    pub fn validate_bits(&self, bits: &[u8]) -> Result<(), RebindError> {
         if bits.len() != self.num_qubits {
             return Err(RebindError::BitstringLength {
                 expected: self.num_qubits,

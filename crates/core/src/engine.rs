@@ -769,11 +769,11 @@ impl CompiledCircuit {
     /// A loop of [`execute_amplitude`](Self::execute_amplitude) calls
     /// replays the entire slice-dependent stem once per bitstring. This
     /// method contracts each subtask's projector-independent `StemPure`
-    /// prefix **once per slice assignment** and replays only the
-    /// `StemMixed` suffix (plus one frontier build) per bitstring — the
-    /// XEB-style many-amplitudes workload of the paper. The returned
-    /// amplitudes are **bit-identical** to that loop, in the input order;
-    /// [`ExecutionStats::stem_pure_flops_reused`] and
+    /// prefix **once per slice assignment** and replays the `StemMixed`
+    /// suffix and the frontier once per distinct key of the output bits
+    /// they depend on — the XEB-style many-amplitudes workload of the
+    /// paper. The returned amplitudes are **bit-identical** to that loop,
+    /// in the input order; [`ExecutionStats::stem_pure_flops_reused`] and
     /// [`ExecutionStats::amplitudes_in_batch`] in the report quantify the
     /// amortization.
     ///

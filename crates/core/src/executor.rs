@@ -22,8 +22,10 @@
 //!    memoized in the plan-lifetime [`BranchCache`] shared by every
 //!    execution (and every clone of the plan's `Arc`).
 //! 2. **Frontier** contractions depend on rebindable output projectors but
-//!    on no sliced edge. They run **once per execution**, absorbing the
-//!    current [`LeafOverrides`] into a per-execution frontier.
+//!    on no sliced edge. They run **once per execution** — once per
+//!    *distinct key* in a batch — through a compiled frontier program (one
+//!    precompiled [`qtn_tensor::ContractionKernel`] per frontier step),
+//!    writing into per-node value tables indexed by key id.
 //! 3. **Stem** contractions depend on sliced edges. Only these are replayed
 //!    for each of the `2^|S|` subtasks, seeded with the cached branch and
 //!    frontier tensors.
@@ -34,6 +36,22 @@
 //! same order — reuse only changes how often they run.
 //! [`ExecutionStats`] reports the per-phase FLOP split and the work avoided
 //! (`branch_flops_reused`).
+//!
+//! ## Compiled front end
+//!
+//! Everything the serial front end of an execution needs that depends only
+//! on index sets is compiled once per plan and memoized beside the branch
+//! cache (it survives parameter rebinds, which preserve every shape): the
+//! frontier program, the stem kernels, where every stem operand is read
+//! from (a worker slot, a branch-cache entry or a frontier table), and a
+//! two-entry (bit 0 / bit 1) table of projector data. Per call, only the
+//! *key ids* are computed: a projector leaf's id numbers its bit by first
+//! occurrence in the batch, and a contraction's id interns the pair of its
+//! children's ids — children's dependency masks are disjoint and cover the
+//! parent's, so the pair determines the dependent bits exactly. No key is
+//! hashed, no per-bitstring map is built and no frontier value is cloned:
+//! stem operands read `(node, key id)` straight from the frontier tables. A
+//! single execution is a batch of one.
 //!
 //! ## Lifetime-pooled stem sweep
 //!
@@ -47,12 +65,14 @@
 //! ([`qtn_tensornet::lifetime`]) says it dies. After the first subtask
 //! warms the free lists the hot loop performs **zero heap allocations**;
 //! pools persist on the plan across executions (like the branch cache), so
-//! a compiled circuit's second execution allocates no stem buffers at all
-//! (the per-execution frontier build still allocates its own tensors).
-//! [`ExecutionStats::buffers_allocated`] / `buffers_reused` prove it, and
-//! [`ExecutionStats::peak_bytes_in_flight`] matches the plan's
-//! [`ExecutionStats::predicted_peak_bytes`] exactly. Results stay
-//! bit-identical: pooling changes where bytes live, never what is computed.
+//! a compiled circuit's second execution allocates no stem buffers at all.
+//! Frontier tables live outside these pools (their buffers are recycled
+//! across calls by the compiled program), so
+//! [`ExecutionStats::buffers_allocated`] / `buffers_reused` and
+//! [`ExecutionStats::peak_bytes_in_flight`] count stem traffic only, and
+//! the peak matches the plan's [`ExecutionStats::predicted_peak_bytes`]
+//! exactly. Results stay bit-identical: pooling changes where bytes live,
+//! never what is computed. Batched executions always take the pooled sweep.
 //!
 //! Subtasks run on a persistent [`WorkerPool`] — threads are spawned once
 //! and reused across executions, mirroring the paper's long-lived processes
@@ -108,7 +128,9 @@ pub struct ExecutorConfig {
     /// Results are bit-identical to the unpooled path — the same
     /// contractions run in the same order, only the buffers differ.
     /// Effective only together with [`reuse`](Self::reuse); disable to fall
-    /// back to allocate-per-contraction execution.
+    /// back to allocate-per-contraction execution of single amplitudes.
+    /// Batched executions always take the pooled sweep, which is
+    /// bit-identical and never slower.
     pub pool: bool,
 }
 
@@ -264,9 +286,14 @@ pub struct ExecutionStats {
     /// execution satisfies `peak_bytes_in_flight <= predicted_peak_bytes`
     /// exactly (equality whenever at least one sliced subtask ran).
     pub predicted_peak_bytes: u64,
-    /// Wall-clock time of the whole execution, including the serial cache
-    /// phases (branch build, frontier build) when reuse runs them.
+    /// Wall-clock time of the whole execution, from entry to the reduced
+    /// result, including the serial front end
+    /// ([`prepare_seconds`](Self::prepare_seconds)).
     pub wall_seconds: f64,
+    /// Wall-clock time of the serial front end that runs before any worker
+    /// starts: output rebinding, the branch-cache (re)build, the frontier
+    /// and the key and dedup tables. Always `<= wall_seconds`.
+    pub prepare_seconds: f64,
     /// Mean wall-clock time of one subtask on one worker, measured over the
     /// parallel sweep only — the one-off cache builds are excluded. With
     /// reuse enabled this prices a *stem-only* replay; extrapolations that
@@ -329,6 +356,7 @@ impl ExecutionStats {
         self.peak_bytes_in_flight = self.peak_bytes_in_flight.max(other.peak_bytes_in_flight);
         self.predicted_peak_bytes = self.predicted_peak_bytes.max(other.predicted_peak_bytes);
         self.wall_seconds += other.wall_seconds;
+        self.prepare_seconds += other.prepare_seconds;
         self.seconds_per_subtask =
             if self.subtasks_run > 0 { self.wall_seconds / self.subtasks_run as f64 } else { 0.0 };
         self.workers = self.workers.max(other.workers);
@@ -371,6 +399,7 @@ impl ExecutionStats {
             .field_u64("peak_bytes_in_flight", self.peak_bytes_in_flight)
             .field_u64("predicted_peak_bytes", self.predicted_peak_bytes)
             .field_f64("wall_seconds", self.wall_seconds)
+            .field_f64("prepare_seconds", self.prepare_seconds)
             .field_f64("seconds_per_subtask", self.seconds_per_subtask)
             .field_usize("workers", self.workers);
         obj.finish()
@@ -407,37 +436,37 @@ pub struct GemmTally {
 }
 
 impl GemmTally {
-    fn record(&mut self, path: GemmPath) {
+    fn record(&mut self, path: GemmPath, times: u64) {
         match path {
             GemmPath::MicroSimd => {
-                self.micro += 1;
-                self.simd += 1;
+                self.micro += times;
+                self.simd += times;
             }
-            GemmPath::MicroScalar => self.micro += 1,
-            GemmPath::GemvRow | GemmPath::GemvCol => self.gemv += 1,
+            GemmPath::MicroScalar => self.micro += times,
+            GemmPath::GemvRow | GemmPath::GemvCol => self.gemv += times,
             GemmPath::NarrowSimd => {
-                self.narrow += 1;
-                self.simd += 1;
+                self.narrow += times;
+                self.simd += times;
             }
-            GemmPath::NarrowScalar => self.narrow += 1,
+            GemmPath::NarrowScalar => self.narrow += times,
             GemmPath::BlockedSimd => {
-                self.blocked += 1;
-                self.simd += 1;
+                self.blocked += times;
+                self.simd += times;
             }
-            GemmPath::BlockedScalar => self.blocked += 1,
+            GemmPath::BlockedScalar => self.blocked += times,
         }
     }
 
     /// Record a contraction executed through per-call dispatch
     /// ([`contract_pair`] selects from the spec's shape at call time).
     fn record_spec(&mut self, spec: &ContractionSpec) {
-        self.record(spec.kernel_plan().taken::<Complex64>());
+        self.record(spec.kernel_plan().taken::<Complex64>(), 1);
     }
 
-    /// Record a contraction executed through a precompiled kernel (whose
-    /// dispatch was frozen at [`ContractionKernel::new`] time).
-    fn record_kernel(&mut self, kernel: &ContractionKernel) {
-        self.record(kernel.gemm_plan().taken::<Complex64>());
+    /// Record `times` contractions executed through a precompiled kernel
+    /// (whose dispatch was frozen at [`ContractionKernel::new`] time).
+    fn record_kernel(&mut self, kernel: &ContractionKernel, times: u64) {
+        self.record(kernel.gemm_plan().taken::<Complex64>(), times);
     }
 
     fn add(&mut self, other: &GemmTally) {
@@ -450,7 +479,7 @@ impl GemmTally {
 }
 
 // ---------------------------------------------------------------------------
-// Partial-contraction reuse: branch cache and per-execution frontier
+// Partial-contraction reuse: branch cache
 // ---------------------------------------------------------------------------
 
 /// The plan-lifetime cache of Branch-class tensors: the roots of the maximal
@@ -466,9 +495,10 @@ impl GemmTally {
 /// reuses one build.
 #[derive(Debug, Clone)]
 pub struct BranchCache {
-    /// Kept tensors keyed by tree-node id (the classification's
-    /// `branch_keep` set).
-    tensors: HashMap<usize, DenseTensor<Complex64>>,
+    /// Kept tensors by tree-node id (the classification's `branch_keep`
+    /// set, `None` everywhere else): a dense table, so compiled programs
+    /// read an entry by index, never by hash.
+    tensors: Vec<Option<DenseTensor<Complex64>>>,
     /// Per kept root: the `(flops, contractions)` cost of producing its
     /// subtree. Every branch-schedule step is owned by exactly one kept
     /// root (each node feeds exactly one parent), so these partition the
@@ -500,7 +530,7 @@ pub struct BranchCache {
 impl BranchCache {
     /// The cached tensor of a tree node, if this node is a kept branch root.
     pub fn tensor(&self, node: usize) -> Option<&DenseTensor<Complex64>> {
-        self.tensors.get(&node)
+        self.tensors.get(node).and_then(Option::as_ref)
     }
 
     /// The `(flops, contractions)` attributed to producing a kept root's
@@ -511,12 +541,12 @@ impl BranchCache {
 
     /// Number of cached tensors.
     pub fn len(&self) -> usize {
-        self.tensors.len()
+        self.tensors.iter().flatten().count()
     }
 
     /// True if the cache holds no tensors (fully sliced/overridden trees).
     pub fn is_empty(&self) -> bool {
-        self.tensors.is_empty()
+        self.len() == 0
     }
 }
 
@@ -536,30 +566,13 @@ pub struct BranchSeed {
     pub(crate) params_rebound: u64,
 }
 
-/// The per-execution frontier: Frontier-class tensors (override-dependent,
-/// slice-invariant), rebuilt once per execution from the current overrides.
-struct Frontier {
-    tensors: HashMap<usize, DenseTensor<Complex64>>,
-    flops: u64,
-    contractions: u64,
-    gemm: GemmTally,
-}
-
-/// Fetch a contraction operand: an intermediate owned by `slots` (consumed,
-/// as each internal node feeds exactly one parent) or a cached tensor
-/// borrowed from `cached`.
-fn take_operand<'a>(
+/// Take a contraction operand out of a slot table: each internal node
+/// feeds exactly one parent, so its tensor is consumed.
+fn take_slot(
     slots: &mut [Option<DenseTensor<Complex64>>],
-    cached: &'a HashMap<usize, DenseTensor<Complex64>>,
     id: usize,
-) -> Result<Cow<'a, DenseTensor<Complex64>>, Error> {
-    if let Some(t) = slots[id].take() {
-        return Ok(Cow::Owned(t));
-    }
-    cached
-        .get(&id)
-        .map(Cow::Borrowed)
-        .ok_or_else(|| Error::Internal(format!("operand {id} missing from slots and cache")))
+) -> Result<DenseTensor<Complex64>, Error> {
+    slots[id].take().ok_or_else(|| Error::Internal(format!("operand {id} missing from slots")))
 }
 
 /// Map every Branch-class node to the kept root whose subtree owns it.
@@ -601,7 +614,8 @@ fn build_branch_cache(plan: &SimulationPlan) -> Result<BranchCache, Error> {
     let seed = plan.branch_seed.as_deref();
     let survives = |root: usize| seed.is_some_and(|s| s.surviving.contains_key(&root));
 
-    let mut slots: Vec<Option<DenseTensor<Complex64>>> = vec![None; plan.tree.nodes().len()];
+    let num_nodes = plan.tree.nodes().len();
+    let mut slots: Vec<Option<DenseTensor<Complex64>>> = vec![None; num_nodes];
     for (node_id, node) in plan.tree.nodes().iter().enumerate() {
         if let Some(vertex) = node.leaf_vertex {
             if cls.class(node_id) == NodeClass::Branch
@@ -615,7 +629,6 @@ fn build_branch_cache(plan: &SimulationPlan) -> Result<BranchCache, Error> {
     let mut contractions = 0u64;
     let mut gemm = GemmTally::default();
     let mut step_costs: HashMap<usize, (u64, u64)> = HashMap::new();
-    let empty = HashMap::new();
     for &(l, r, out) in cls.branch_schedule() {
         let root = *owner
             .get(&out)
@@ -623,8 +636,8 @@ fn build_branch_cache(plan: &SimulationPlan) -> Result<BranchCache, Error> {
         if survives(root) {
             continue;
         }
-        let a = take_operand(&mut slots, &empty, l)?;
-        let b = take_operand(&mut slots, &empty, r)?;
+        let a = take_slot(&mut slots, l)?;
+        let b = take_slot(&mut slots, r)?;
         let spec = ContractionSpec::new(a.indices(), b.indices());
         flops += spec.flops();
         contractions += 1;
@@ -634,21 +647,18 @@ fn build_branch_cache(plan: &SimulationPlan) -> Result<BranchCache, Error> {
         gemm.record_spec(&spec);
         slots[out] = Some(contract_pair(&a, &b));
     }
-    let mut tensors = HashMap::with_capacity(cls.branch_keep().len());
+    let mut tensors = vec![None; num_nodes];
     let mut entry_costs = HashMap::with_capacity(cls.branch_keep().len());
     let mut survived_flops = 0u64;
     for &id in cls.branch_keep() {
         if let Some((t, entry_flops, entry_contractions)) = seed.and_then(|s| s.surviving.get(&id))
         {
-            tensors.insert(id, t.clone());
+            tensors[id] = Some(t.clone());
             entry_costs.insert(id, (*entry_flops, *entry_contractions));
             survived_flops += entry_flops;
             continue;
         }
-        let t = slots[id]
-            .take()
-            .ok_or_else(|| Error::Internal(format!("branch root {id} was not produced")))?;
-        tensors.insert(id, t);
+        tensors[id] = Some(take_slot(&mut slots, id)?);
         entry_costs.insert(id, step_costs.get(&id).copied().unwrap_or((0, 0)));
     }
     Ok(BranchCache {
@@ -664,53 +674,53 @@ fn build_branch_cache(plan: &SimulationPlan) -> Result<BranchCache, Error> {
     })
 }
 
-/// Contract every Frontier-class node bottom-up, substituting the execution's
-/// leaf overrides, and keep the frontier roots. Runs once per execution.
-fn build_frontier(
-    plan: &SimulationPlan,
-    cache: &BranchCache,
-    overrides: &LeafOverrides,
-) -> Result<Frontier, Error> {
-    let cls = &plan.classification;
-    let mut slots: Vec<Option<DenseTensor<Complex64>>> = vec![None; plan.tree.nodes().len()];
-    for (node_id, node) in plan.tree.nodes().iter().enumerate() {
-        if let Some(vertex) = node.leaf_vertex {
-            if cls.class(node_id) == NodeClass::Frontier {
-                slots[node_id] =
-                    Some(overrides.get(&vertex).unwrap_or(&plan.build.nodes[vertex].data).clone());
-            }
-        }
-    }
-    let mut flops = 0u64;
-    let mut contractions = 0u64;
-    let mut gemm = GemmTally::default();
-    for &(l, r, out) in cls.frontier_schedule() {
-        let a = take_operand(&mut slots, &cache.tensors, l)?;
-        let b = take_operand(&mut slots, &cache.tensors, r)?;
-        let spec = ContractionSpec::new(a.indices(), b.indices());
-        flops += spec.flops();
-        contractions += 1;
-        gemm.record_spec(&spec);
-        slots[out] = Some(contract_pair(&a, &b));
-    }
-    let mut tensors = HashMap::with_capacity(cls.frontier_keep().len());
-    for &id in cls.frontier_keep() {
-        let t = slots[id]
-            .take()
-            .ok_or_else(|| Error::Internal(format!("frontier root {id} was not produced")))?;
-        tensors.insert(id, t);
-    }
-    Ok(Frontier { tensors, flops, contractions, gemm })
+// ---------------------------------------------------------------------------
+// The compiled program: frontier and stem kernels, resolved operands
+// ---------------------------------------------------------------------------
+
+/// Where a compiled contraction reads an operand from. Resolved once, when
+/// the program is compiled, so replaying a step looks nothing up by key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Operand {
+    /// A buffer in the worker's slot table: a sliced leaf or a stem
+    /// intermediate.
+    Slot,
+    /// A plan-lifetime branch-cache entry.
+    Branch,
+    /// A frontier table entry, selected by the bitstring's key id.
+    Frontier,
 }
 
-// ---------------------------------------------------------------------------
-// Pooled stem execution: precompiled per-subtask replay
-// ---------------------------------------------------------------------------
+impl Operand {
+    fn of(class: NodeClass) -> Self {
+        match class {
+            NodeClass::Branch => Operand::Branch,
+            NodeClass::Frontier => Operand::Frontier,
+            NodeClass::StemPure | NodeClass::StemMixed => Operand::Slot,
+        }
+    }
+}
 
-/// One stem leaf's slicing recipe, precomputed once per execution: which
-/// axes of the (possibly overridden) source tensor are fixed by which
-/// sliced-edge bit. Applying it is a single [`DenseTensor::slice_into`]
-/// gather into a pooled buffer — no clone, no per-edge re-slicing.
+/// One output-projector leaf of the tree (Frontier- or StemMixed-class):
+/// where per-call key ids start.
+#[derive(Debug)]
+struct ProjectorLeaf {
+    /// Tree node this leaf occupies.
+    node: usize,
+    /// Network vertex the data comes from (override key).
+    vertex: usize,
+    /// Position in `plan.build.projector_leaves`.
+    ordinal: usize,
+    /// The qubit whose output bit the projector selects.
+    qubit: usize,
+    /// Whether the leaf is Frontier-class (no sliced edge).
+    frontier: bool,
+}
+
+/// One stem leaf's slicing recipe: which axes of the (possibly overridden)
+/// source tensor are fixed by which sliced-edge bit. Applying it is a
+/// single [`DenseTensor::slice_into`] gather into a pooled buffer — no
+/// clone, no per-edge re-slicing.
 #[derive(Debug)]
 struct StemLeafExec {
     /// Tree node this leaf occupies.
@@ -722,101 +732,141 @@ struct StemLeafExec {
     fixes: Vec<(usize, usize)>,
     /// Elements of the sliced leaf tensor.
     len: usize,
-    /// Whether the leaf is StemMixed-class (an overridable projector that
-    /// also carries a sliced edge): re-sliced per bitstring in a batched
-    /// execution. StemPure leaves are sliced once per subtask.
-    mixed: bool,
+    /// Projector ordinal of a StemMixed-class leaf (an overridable
+    /// projector that also carries a sliced edge): re-sliced per key in a
+    /// batched execution, from the projector table. `None` for StemPure
+    /// leaves, which are sliced once per subtask.
+    ordinal: Option<usize>,
 }
 
-/// One stem contraction, fully compiled: operand/output tree nodes plus the
-/// reusable [`ContractionKernel`] (spec + TTGT permutation maps). Shapes and
-/// axis orders are identical across all `2^|S|` subtasks, so kernels are
-/// built once per execution and replayed allocation-free.
+/// One compiled contraction: operand/output tree nodes, where each operand
+/// is read from, and the reusable [`ContractionKernel`] (spec + TTGT
+/// permutation maps). Shapes and axis orders are identical across all
+/// executions and subtasks, so kernels are built once per plan and replayed
+/// allocation-free.
 #[derive(Debug)]
-struct StemStepExec {
+struct StepExec {
     left: usize,
     right: usize,
     out: usize,
+    left_src: Operand,
+    right_src: Operand,
     kernel: ContractionKernel,
     /// Whether the contraction is StemMixed-class (projector-dependent):
-    /// replayed per bitstring in a batched execution, while StemPure steps
+    /// replayed per key in a batched execution, while StemPure steps
     /// (`mixed == false`) run once per subtask for the whole batch.
     mixed: bool,
 }
 
-/// The compiled form of the per-subtask stem replay: slicing recipes for
-/// the stem leaves, contraction kernels for the stem schedule, and the
-/// index sets of every stem-node tensor (needed to wrap the root buffer).
-/// Compiled once in the plan's lifetime (it only depends on index sets,
-/// which [`qtn_circuit::NetworkBuild::rebind_output`] overrides preserve)
-/// and memoized on the [`SimulationPlan`] like the branch cache; shared
-/// read-only by all workers. Overrides that *do* change a leaf's axis
-/// order get a fresh, uncached compile instead.
+/// The compiled form of everything an execution replays: the frontier
+/// program, the slicing recipes and contraction kernels of the stem, where
+/// every operand is read from, the projector table and the mixed suffix's
+/// dedup sort priority. Compiled once in the plan's lifetime (it only
+/// depends on index sets, which output rebinding and parameter rebinding
+/// preserve) and memoized on the [`SimulationPlan`] like the branch cache;
+/// shared read-only by all workers. Overrides that *do* change a leaf's
+/// axis order get a fresh, uncached compile instead.
 #[derive(Debug)]
 pub(crate) struct StemExec {
+    /// Every projector-dependent leaf, in tree-node order.
+    projector_leaves: Vec<ProjectorLeaf>,
+    /// Projector data by ordinal and bit (`[bit 0, bit 1]`): what batched
+    /// executions read instead of building per-bitstring overrides.
+    projectors: Vec<[DenseTensor<Complex64>; 2]>,
+    /// The frontier schedule, compiled.
+    frontier_steps: Vec<StepExec>,
+    /// Stem leaves' slicing recipes.
     leaves: Vec<StemLeafExec>,
-    steps: Vec<StemStepExec>,
-    /// Index set of each Stem-class node's tensor, by tree-node id.
+    /// The stem schedule, compiled.
+    steps: Vec<StepExec>,
+    /// Index set of each Frontier- and Stem-class node's tensor, by
+    /// tree-node id.
     node_indices: Vec<Option<IndexSet>>,
+    /// Frontier nodes a later phase reads (stem seeds, or the root of an
+    /// unsliced plan): their tables outlive their parent's build.
+    frontier_keep: Vec<bool>,
+    /// StemMixed contraction outputs in batch-sort priority (see
+    /// [`mixed_sort_priority`]).
+    mixed_priority: Vec<usize>,
     /// Whether the tree root is Stem-class (a sliced sweep). When false the
     /// pooled replay is bypassed — the subtask result is a cached tensor.
     root_is_stem: bool,
+    /// Frontier table buffers recycled across executions. Kept apart from
+    /// the stem pools, whose counters price the stem sweep only.
+    spare: Mutex<Vec<Vec<Complex64>>>,
 }
 
-/// Resolve a slice-invariant tensor: a per-execution frontier seed or a
-/// plan-lifetime branch-cache entry. The single lookup chain shared by the
-/// stem compile, the pooled replay and the unpooled replay.
-fn cached_tensor<'a>(
-    seeds: &'a HashMap<usize, DenseTensor<Complex64>>,
-    cache: &'a BranchCache,
-    id: usize,
-) -> Option<&'a DenseTensor<Complex64>> {
-    seeds.get(&id).or_else(|| cache.tensor(id))
+impl StemExec {
+    /// Elements of a Frontier- or Stem-class node's tensor.
+    fn node_len(&self, node: usize) -> usize {
+        self.node_indices[node].as_ref().map_or(0, IndexSet::len)
+    }
+
+    /// Hand an execution's frontier buffers back for the next one.
+    fn recycle(&self, tables: Vec<Vec<Complex64>>) {
+        let mut spare = lock_unpoisoned(&self.spare);
+        for table in tables {
+            give_back(&mut spare, table);
+        }
+    }
 }
 
-/// Index set of a stem operand: a stem node's precomputed set, or the axis
-/// order of the cached tensor (frontier seed or branch cache) it is read
-/// from.
+/// Index set of an operand: a compiled node's set, or the axis order of the
+/// branch-cache tensor it is read from.
 fn operand_indices<'a>(
     node_indices: &'a [Option<IndexSet>],
-    seeds: &'a HashMap<usize, DenseTensor<Complex64>>,
     cache: &'a BranchCache,
     id: usize,
 ) -> Result<&'a IndexSet, Error> {
     if let Some(idx) = node_indices[id].as_ref() {
         return Ok(idx);
     }
-    cached_tensor(seeds, cache, id)
+    cache
+        .tensor(id)
         .map(DenseTensor::indices)
-        .ok_or_else(|| Error::Internal(format!("operand {id} missing while compiling stem")))
+        .ok_or_else(|| Error::Internal(format!("operand {id} missing while compiling")))
 }
 
-/// Compile the stem replay: resolve every stem leaf's slicing recipe and
-/// build one [`ContractionKernel`] per stem contraction. Pure shape work —
-/// no amplitude is touched — and run once per execution.
+/// Compile the execution program: resolve every projector leaf, every
+/// stem leaf's slicing recipe and every operand source, and build one
+/// [`ContractionKernel`] per frontier and stem contraction. Pure shape work
+/// — no amplitude is touched.
 fn build_stem_exec(
     plan: &SimulationPlan,
     cache: &BranchCache,
-    seeds: &HashMap<usize, DenseTensor<Complex64>>,
     overrides: &LeafOverrides,
 ) -> Result<StemExec, Error> {
     let cls = &plan.classification;
     let sliced = &plan.slicing.sliced;
     let num_nodes = plan.tree.nodes().len();
-    let root_is_stem = cls.class(plan.tree.root()).is_stem();
     let mut node_indices: Vec<Option<IndexSet>> = vec![None; num_nodes];
+    let mut projector_leaves = Vec::new();
     let mut leaves = Vec::new();
-    let mut steps = Vec::with_capacity(cls.stem_schedule().len());
-    if !root_is_stem {
-        return Ok(StemExec { leaves, steps, node_indices, root_is_stem });
-    }
 
     for (node_id, node) in plan.tree.nodes().iter().enumerate() {
-        if !cls.class(node_id).is_stem() {
-            continue;
-        }
-        if let Some(vertex) = node.leaf_vertex {
-            let src = overrides.get(&vertex).unwrap_or(&plan.build.nodes[vertex].data);
+        let Some(vertex) = node.leaf_vertex else { continue };
+        let class = cls.class(node_id);
+        let src = overrides.get(&vertex).unwrap_or(&plan.build.nodes[vertex].data);
+        let ordinal =
+            if class.depends_on_projector() {
+                let ordinal =
+                    plan.build.projector_leaves.iter().position(|&(_, v)| v == vertex).ok_or_else(
+                        || Error::Internal(format!("leaf {node_id} is no projector")),
+                    )?;
+                projector_leaves.push(ProjectorLeaf {
+                    node: node_id,
+                    vertex,
+                    ordinal,
+                    qubit: plan.build.projector_leaves[ordinal].0,
+                    frontier: class == NodeClass::Frontier,
+                });
+                Some(ordinal)
+            } else {
+                None
+            };
+        if class == NodeClass::Frontier {
+            node_indices[node_id] = Some(src.indices().clone());
+        } else if class.is_stem() {
             let mut fixes = Vec::new();
             for (bit_pos, &edge) in sliced.iter().enumerate() {
                 if let Some(axis) = src.indices().position(edge) {
@@ -825,33 +875,522 @@ fn build_stem_exec(
             }
             let kept: Vec<IndexId> = src.indices().iter().filter(|a| !sliced.contains(a)).collect();
             let indices = IndexSet::new(kept);
-            leaves.push(StemLeafExec {
-                node: node_id,
-                vertex,
-                fixes,
-                len: indices.len(),
-                mixed: cls.class(node_id) == NodeClass::StemMixed,
-            });
+            leaves.push(StemLeafExec { node: node_id, vertex, fixes, len: indices.len(), ordinal });
             node_indices[node_id] = Some(indices);
         }
     }
 
-    for &(l, r, out) in cls.stem_schedule() {
+    let mut compile = |&(l, r, out): &(usize, usize, usize)| -> Result<StepExec, Error> {
         let kernel = ContractionKernel::new(
-            operand_indices(&node_indices, seeds, cache, l)?,
-            operand_indices(&node_indices, seeds, cache, r)?,
+            operand_indices(&node_indices, cache, l)?,
+            operand_indices(&node_indices, cache, r)?,
         );
         node_indices[out] = Some(kernel.output().clone());
-        steps.push(StemStepExec {
+        Ok(StepExec {
             left: l,
             right: r,
             out,
+            left_src: Operand::of(cls.class(l)),
+            right_src: Operand::of(cls.class(r)),
             kernel,
             mixed: cls.class(out) == NodeClass::StemMixed,
-        });
+        })
+    };
+    let frontier_steps =
+        cls.frontier_schedule().iter().map(&mut compile).collect::<Result<_, _>>()?;
+    let steps = cls.stem_schedule().iter().map(&mut compile).collect::<Result<_, _>>()?;
+
+    let mut frontier_keep = vec![false; num_nodes];
+    for &id in cls.stem_seeds() {
+        frontier_keep[id] = cls.class(id) == NodeClass::Frontier;
     }
-    Ok(StemExec { leaves, steps, node_indices, root_is_stem })
+    let all = |bit: u8| plan.build.rebind_output(&vec![bit; plan.build.num_qubits]);
+    let projectors = all(0)?.into_iter().zip(all(1)?).map(|((_, zero), (_, one))| [zero, one]);
+    Ok(StemExec {
+        projector_leaves,
+        projectors: projectors.collect(),
+        frontier_steps,
+        leaves,
+        steps,
+        node_indices,
+        frontier_keep,
+        mixed_priority: mixed_sort_priority(plan),
+        root_is_stem: cls.class(plan.tree.root()).is_stem(),
+        spare: Mutex::new(Vec::new()),
+    })
 }
+
+/// The order in which a batch is sorted by the StemMixed outputs' key ids.
+/// Processing order never affects correctness (a node recomputes exactly
+/// when its key differs from what its buffer holds, children before
+/// parents), only how often the single-entry caches miss — so group the
+/// batch around the nodes where a miss costs the most.
+///
+/// Dependency masks form a *laminar* family (each is the union of its
+/// children's), so arrange the distinct masks as a containment forest and
+/// emit them in cost-weighted post-order: within a chain the narrowest mask
+/// sorts first — then a wider mask's keys are refined by the narrower one's
+/// groups, and since a wide key determines every sub-key, **all** chain
+/// nodes simultaneously hit their distinct-key floor. Disjoint subtrees
+/// inevitably fragment each other, so the heavier subtree gets the outer
+/// (unfragmented) sort position. Plan-only, so compiled once.
+fn mixed_sort_priority(plan: &SimulationPlan) -> Vec<usize> {
+    let cls = &plan.classification;
+    let masks = cls.projector_masks();
+    let cost_of = |l: usize, r: usize| -> u64 {
+        let left = &plan.tree.node(l).indices;
+        let right = &plan.tree.node(r).indices;
+        let union = left.len() + right.iter().filter(|e| !left.contains(*e)).count();
+        1u64 << union.min(60)
+    };
+    // Group schedule outs by identical mask, accumulating structural cost.
+    let mut groups: Vec<(Vec<u64>, Vec<usize>, u64)> = Vec::new();
+    for &(l, r, out) in cls.stem_mixed_schedule() {
+        let words = masks.mask(out).to_vec();
+        match groups.iter_mut().find(|(w, _, _)| *w == words) {
+            Some((_, members, cost)) => {
+                members.push(out);
+                *cost += cost_of(l, r);
+            }
+            None => groups.push((words, vec![out], cost_of(l, r))),
+        }
+    }
+    let subset = |a: &[u64], b: &[u64]| a.iter().zip(b).all(|(x, y)| x & !y == 0);
+    let popcount = |w: &[u64]| w.iter().map(|x| x.count_ones() as u64).sum::<u64>();
+    // Minimal strict superset = laminar parent (supersets form a chain).
+    let parent: Vec<Option<usize>> = (0..groups.len())
+        .map(|i| {
+            (0..groups.len())
+                .filter(|&j| j != i && subset(&groups[i].0, &groups[j].0))
+                .min_by_key(|&j| popcount(&groups[j].0))
+        })
+        .collect();
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
+    let mut forest_roots: Vec<usize> = Vec::new();
+    for (i, p) in parent.iter().enumerate() {
+        match p {
+            Some(p) => children[*p].push(i),
+            None => forest_roots.push(i),
+        }
+    }
+    // Subtree weights, bottom-up (children have strictly smaller masks).
+    let mut weight: Vec<u64> = groups.iter().map(|(_, _, c)| *c).collect();
+    let mut by_pop: Vec<usize> = (0..groups.len()).collect();
+    by_pop.sort_by_key(|&i| popcount(&groups[i].0));
+    for &i in &by_pop {
+        if let Some(p) = parent[i] {
+            weight[p] = weight[p].saturating_add(weight[i]);
+        }
+    }
+    // Cost-weighted post-order: heavier subtrees first, masks narrower
+    // than their parent emitted before it.
+    for list in children.iter_mut() {
+        list.sort_by_key(|&i| std::cmp::Reverse(weight[i]));
+    }
+    forest_roots.sort_by_key(|&i| std::cmp::Reverse(weight[i]));
+    let mut priority: Vec<usize> = Vec::new();
+    let mut stack: Vec<(usize, bool)> = forest_roots.iter().rev().map(|&i| (i, false)).collect();
+    while let Some((i, emitted)) = stack.pop() {
+        if emitted {
+            priority.extend(groups[i].1.iter().copied());
+        } else {
+            stack.push((i, true));
+            stack.extend(children[i].iter().rev().map(|&c| (c, false)));
+        }
+    }
+    priority
+}
+
+// ---------------------------------------------------------------------------
+// Per-call key ids
+// ---------------------------------------------------------------------------
+
+/// Sentinel of the key tables: "no row" / "not seen yet".
+const NONE: u32 = u32::MAX;
+
+/// Dense key ids of one execution's bitstrings at every projector-dependent
+/// (Frontier- or StemMixed-class) node: two bitstrings share a node's key
+/// id exactly when they agree on every output bit the node's tensor
+/// depends on.
+///
+/// Ids are computed bottom-up with no key materialised and nothing hashed.
+/// A projector leaf's id numbers its bit by first occurrence in the batch;
+/// a contraction's id interns the pair of its children's ids (a Branch or
+/// StemPure child has the single id 0) — children's dependency masks are
+/// disjoint and their union is the parent's, so the pair determines the
+/// parent's dependent bits exactly. Every id is numbered by first
+/// occurrence in bitstring order. A single execution is a batch of one:
+/// every id is 0.
+struct KeyTable {
+    batch: usize,
+    /// Per tree node: its row, or [`NONE`] for nodes no output bit affects
+    /// (every bitstring has key 0 there).
+    row: Vec<u32>,
+    /// `rows × batch` key ids, row-major.
+    ids: Vec<u32>,
+    /// Per row, plus one: where the row's keys start in `parts`.
+    part_start: Vec<u32>,
+    /// What each key id stands for, row by row: `(bit, 0)` at a projector
+    /// leaf, `(left key, right key)` at a contraction.
+    parts: Vec<(u32, u32)>,
+}
+
+impl KeyTable {
+    /// Key ids of a batch: `bit(b, qubit)` is bitstring `b`'s output bit.
+    fn build(
+        exec: &StemExec,
+        num_nodes: usize,
+        batch: usize,
+        bit: impl Fn(usize, usize) -> u8,
+    ) -> Self {
+        let mut table = KeyTable {
+            batch,
+            row: vec![NONE; num_nodes],
+            ids: Vec::new(),
+            part_start: vec![0],
+            parts: Vec::new(),
+        };
+        for leaf in &exec.projector_leaves {
+            let mut seen = [NONE; 2];
+            let start = table.parts.len();
+            for b in 0..batch {
+                let bit = bit(b, leaf.qubit) & 1;
+                if seen[bit as usize] == NONE {
+                    seen[bit as usize] = (table.parts.len() - start) as u32;
+                    table.parts.push((bit as u32, 0));
+                }
+                table.ids.push(seen[bit as usize]);
+            }
+            table.close_row(leaf.node);
+        }
+        let mut scratch = InternScratch::default();
+        let zeros = vec![0; batch];
+        for step in exec.frontier_steps.iter().chain(exec.steps.iter().filter(|s| s.mixed)) {
+            scratch.intern(
+                table.row_ids(step.left).unwrap_or(&zeros),
+                table.distinct(step.left),
+                table.row_ids(step.right).unwrap_or(&zeros),
+                table.distinct(step.right),
+            );
+            table.ids.extend_from_slice(&scratch.ids);
+            table.parts.extend_from_slice(&scratch.pairs);
+            table.close_row(step.out);
+        }
+        table
+    }
+
+    fn close_row(&mut self, node: usize) {
+        self.row[node] = (self.part_start.len() - 1) as u32;
+        self.part_start.push(self.parts.len() as u32);
+    }
+
+    /// Every bitstring's key id at `node`, if any output bit reaches it.
+    fn row_ids(&self, node: usize) -> Option<&[u32]> {
+        match self.row[node] {
+            NONE => None,
+            row => Some(&self.ids[row as usize * self.batch..(row as usize + 1) * self.batch]),
+        }
+    }
+
+    /// Bitstring `b`'s key id at `node`.
+    fn id(&self, node: usize, b: usize) -> u32 {
+        match self.row[node] {
+            NONE => 0,
+            row => self.ids[row as usize * self.batch + b],
+        }
+    }
+
+    /// What each of the node's key ids stands for (see `parts`).
+    fn parts(&self, node: usize) -> &[(u32, u32)] {
+        match self.row[node] {
+            NONE => &[(0, 0)],
+            row => {
+                let row = row as usize;
+                &self.parts[self.part_start[row] as usize..self.part_start[row + 1] as usize]
+            }
+        }
+    }
+
+    /// Number of distinct keys the batch presents at `node`.
+    fn distinct(&self, node: usize) -> usize {
+        self.parts(node).len()
+    }
+}
+
+/// Reusable buffers of [`InternScratch::intern`].
+#[derive(Default)]
+struct InternScratch {
+    cursor: Vec<u32>,
+    order: Vec<u32>,
+    slot: Vec<u32>,
+    first: Vec<u32>,
+    /// Output: each bitstring's pair id.
+    ids: Vec<u32>,
+    /// Output: the distinct pairs, in id order.
+    pairs: Vec<(u32, u32)>,
+}
+
+impl InternScratch {
+    /// Number the pairs `(left[b], right[b])` by first occurrence over
+    /// `b`; `n_left` / `n_right` bound the ids, which are themselves
+    /// numbered by first occurrence. Hash-free and
+    /// `O(batch + n_left + n_right)`: bitstrings are bucketed by left id (a
+    /// stable counting sort), each bucket resolves right ids through one
+    /// dense `n_right` table that is cleared after it, and every bitstring
+    /// then takes the id of the first bitstring sharing its pair.
+    fn intern(&mut self, left: &[u32], n_left: usize, right: &[u32], n_right: usize) {
+        let InternScratch { cursor, order, slot, first, ids, pairs } = self;
+        ids.clear();
+        pairs.clear();
+        // A side with a single id leaves the other side's numbering as is.
+        if n_right == 1 || n_left == 1 {
+            let (numbered, n) = if n_right == 1 { (left, n_left) } else { (right, n_right) };
+            ids.extend_from_slice(numbered);
+            pairs.extend((0..n as u32).map(|k| if n_right == 1 { (k, 0) } else { (0, k) }));
+            return;
+        }
+        let batch = left.len();
+        cursor.clear();
+        cursor.resize(n_left + 1, 0);
+        for &l in left {
+            cursor[l as usize + 1] += 1;
+        }
+        for l in 0..n_left {
+            cursor[l + 1] += cursor[l];
+        }
+        order.clear();
+        order.resize(batch, 0);
+        for (b, &l) in left.iter().enumerate() {
+            let at = &mut cursor[l as usize];
+            order[*at as usize] = b as u32;
+            *at += 1;
+        }
+        // `cursor[l]` now ends bucket `l`; within a bucket `b` ascends, so
+        // the first bitstring seen with a right id is the earliest overall.
+        slot.clear();
+        slot.resize(n_right, NONE);
+        first.clear();
+        first.resize(batch, 0);
+        let mut begin = 0;
+        for &end in &cursor[..n_left] {
+            let bucket = &order[begin..end as usize];
+            for &b in bucket {
+                let r = right[b as usize] as usize;
+                if slot[r] == NONE {
+                    slot[r] = b;
+                }
+                first[b as usize] = slot[r];
+            }
+            for &b in bucket {
+                slot[right[b as usize] as usize] = NONE;
+            }
+            begin = end as usize;
+        }
+        for (b, &f) in first.iter().enumerate() {
+            let f = f as usize;
+            if f == b {
+                ids.push(pairs.len() as u32);
+                pairs.push((left[b], right[b]));
+            } else {
+                let id = ids[f];
+                ids.push(id);
+            }
+        }
+    }
+}
+
+/// Bitstring indices in mixed-suffix processing order: lexicographically
+/// sorted by the key ids of the StemMixed outputs taken in
+/// [`mixed_sort_priority`] order, with submission order as the stable
+/// tie-break. Reordering within a subtask is safe — every bitstring
+/// accumulates into its own partial, and partials still merge subtasks in
+/// ascending-assignment order per worker, exactly like a loop of singles.
+/// The executor keeps a single-entry (most-recent-key) cache per mixed
+/// node, so on spine-shaped suffixes (nested dependency masks, where the
+/// heavy mixed contractions live) each node recomputes exactly once per
+/// distinct key.
+fn mixed_dedup_order(keys: &KeyTable, priority: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..keys.batch).collect();
+    order.sort_by(|&a, &b| {
+        priority
+            .iter()
+            .map(|&out| keys.id(out, a).cmp(&keys.id(out, b)))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| a.cmp(&b))
+    });
+    order
+}
+
+// ---------------------------------------------------------------------------
+// The per-execution frontier
+// ---------------------------------------------------------------------------
+
+/// Where the Frontier-class leaves' data comes from.
+#[derive(Clone, Copy)]
+enum LeafInput<'a> {
+    /// A single execution's leaf overrides (plan data where absent).
+    Overrides(&'a LeafOverrides),
+    /// A batch of bitstrings: each leaf key's bit selects a projector-table
+    /// entry.
+    Bitstrings(&'a [&'a [u8]]),
+}
+
+/// One execution's frontier: the value of every live Frontier-class node
+/// for each distinct key id the batch presents, stored back to back in one
+/// table per node, plus the key ids that select them. Stem operands read
+/// `(node, key id)` in place; nothing is cloned per bitstring.
+struct Frontier {
+    keys: KeyTable,
+    /// Per tree node: `distinct keys × tensor length` amplitudes. Empty for
+    /// non-Frontier nodes and for tables that died once their parent was
+    /// built.
+    tables: Vec<Vec<Complex64>>,
+    flops: u64,
+    contractions: u64,
+    gemm: GemmTally,
+}
+
+impl Frontier {
+    /// The value bitstring `b` sees at Frontier-class `node`.
+    fn value(&self, exec: &StemExec, node: usize, b: usize) -> &[Complex64] {
+        let len = exec.node_len(node);
+        let k = self.keys.id(node, b) as usize;
+        &self.tables[node][k * len..(k + 1) * len]
+    }
+}
+
+/// A buffer of `len` amplitudes from `spare` (kept sorted by capacity):
+/// the smallest that fits, else the largest, grown. Best fit keeps the
+/// retained buffers at the sizes a call really needs at once. Contents are
+/// unspecified: every caller overwrites all of it.
+fn recycled(spare: &mut Vec<Vec<Complex64>>, len: usize) -> Vec<Complex64> {
+    let fit = spare.partition_point(|b| b.capacity() < len);
+    let mut buf =
+        if fit < spare.len() { spare.remove(fit) } else { spare.pop().unwrap_or_default() };
+    buf.resize(len, Complex64::ZERO);
+    buf
+}
+
+/// Put a buffer back into `spare`, keeping it sorted by capacity.
+fn give_back(spare: &mut Vec<Vec<Complex64>>, buf: Vec<Complex64>) {
+    if buf.capacity() > 0 {
+        let at = spare.partition_point(|b| b.capacity() < buf.capacity());
+        spare.insert(at, buf);
+    }
+}
+
+/// Run the compiled frontier program once per distinct key: fill every
+/// Frontier-class leaf's table, contract every frontier step once per key
+/// id of its output (the pair its children's ids were interned from names
+/// the operands), and recycle a child's table as soon as its parent is
+/// built unless a later phase reads it. Each value is produced by the same
+/// pairwise contraction, on the same axis orders, as a per-bitstring build,
+/// so results stay bit-identical.
+fn build_frontier(
+    plan: &SimulationPlan,
+    exec: &StemExec,
+    cache: &BranchCache,
+    keys: KeyTable,
+    input: LeafInput<'_>,
+) -> Result<Frontier, Error> {
+    let mut spare = std::mem::take(&mut *lock_unpoisoned(&exec.spare));
+    let mut tables: Vec<Vec<Complex64>> = vec![Vec::new(); plan.tree.nodes().len()];
+    for leaf in exec.projector_leaves.iter().filter(|l| l.frontier) {
+        let len = exec.node_len(leaf.node);
+        let parts = keys.parts(leaf.node);
+        let mut table = recycled(&mut spare, parts.len() * len);
+        for (value, &(bit, _)) in table.chunks_exact_mut(len).zip(parts) {
+            let data = match input {
+                LeafInput::Overrides(overrides) => overrides
+                    .get(&leaf.vertex)
+                    .unwrap_or(&plan.build.nodes[leaf.vertex].data)
+                    .data(),
+                LeafInput::Bitstrings(_) => exec.projectors[leaf.ordinal][bit as usize].data(),
+            };
+            value.copy_from_slice(data);
+        }
+        tables[leaf.node] = table;
+    }
+
+    let mut flops = 0u64;
+    let mut contractions = 0u64;
+    let mut gemm = GemmTally::default();
+    let mut left_scratch = recycled(&mut spare, 0);
+    let mut right_scratch = recycled(&mut spare, 0);
+    for step in &exec.frontier_steps {
+        let len = exec.node_len(step.out);
+        let parts = keys.parts(step.out);
+        let mut table = recycled(&mut spare, parts.len() * len);
+        let operand = |src: Operand, node: usize, key: u32| -> Result<&[Complex64], Error> {
+            match src {
+                Operand::Frontier => {
+                    let len = exec.node_len(node);
+                    let k = key as usize;
+                    Ok(&tables[node][k * len..(k + 1) * len])
+                }
+                _ => cache.tensor(node).map(DenseTensor::data).ok_or_else(|| {
+                    Error::Internal(format!("frontier operand {node} missing from cache"))
+                }),
+            }
+        };
+        for (k, &(left_key, right_key)) in parts.iter().enumerate() {
+            let a = operand(step.left_src, step.left, left_key)?;
+            let b = operand(step.right_src, step.right, right_key)?;
+            if left_scratch.len() < a.len() {
+                left_scratch.resize(a.len(), Complex64::ZERO);
+            }
+            if right_scratch.len() < b.len() {
+                right_scratch.resize(b.len(), Complex64::ZERO);
+            }
+            step.kernel.contract_into(
+                a,
+                b,
+                &mut left_scratch[..a.len()],
+                &mut right_scratch[..b.len()],
+                &mut table[k * len..(k + 1) * len],
+            );
+        }
+        let runs = parts.len() as u64;
+        flops += runs * step.kernel.flops();
+        contractions += runs;
+        gemm.record_kernel(&step.kernel, runs);
+        tables[step.out] = table;
+        for (src, child) in [(step.left_src, step.left), (step.right_src, step.right)] {
+            if src == Operand::Frontier && !exec.frontier_keep[child] {
+                give_back(&mut spare, std::mem::take(&mut tables[child]));
+            }
+        }
+    }
+    give_back(&mut spare, left_scratch);
+    give_back(&mut spare, right_scratch);
+    exec.recycle(spare);
+    Ok(Frontier { keys, tables, flops, contractions, gemm })
+}
+
+/// The whole result of a slice-invariant (unsliced) plan for bitstring `b`:
+/// its frontier root, or the branch-cache root when no output bit reaches
+/// it.
+fn slice_invariant_root(
+    plan: &SimulationPlan,
+    exec: &StemExec,
+    frontier: &Frontier,
+    b: usize,
+) -> Result<DenseTensor<Complex64>, Error> {
+    let root = plan.tree.root();
+    match exec.node_indices[root].as_ref() {
+        Some(indices) => {
+            Ok(DenseTensor::from_data(indices.clone(), frontier.value(exec, root, b).to_vec()))
+        }
+        None => cache_of(plan)?
+            .tensor(root)
+            .cloned()
+            .ok_or_else(|| Error::Internal("slice-invariant root missing from caches".into())),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pooled stem execution: precompiled per-subtask replay
+// ---------------------------------------------------------------------------
 
 /// Per-worker state that survives the whole sweep: the worker's buffer
 /// pool and its per-execution counters, the slot table and the reusable
@@ -875,102 +1414,167 @@ impl StemWorkspace {
             root_indices: None,
         }
     }
-}
 
-/// Data slice of a stem operand: the owned pooled buffer taken from the
-/// slot table, or a borrowed cache tensor's amplitudes.
-fn stem_operand_data<'a>(
-    owned: &'a Option<Vec<Complex64>>,
-    seeds: &'a HashMap<usize, DenseTensor<Complex64>>,
-    cache: &'a BranchCache,
-    id: usize,
-) -> Result<&'a [Complex64], Error> {
-    if let Some(buf) = owned.as_deref() {
-        return Ok(buf);
+    /// Gather one stem leaf for a slice assignment: one strided
+    /// [`DenseTensor::slice_into`] from `src` into `buf`.
+    fn gather(
+        fix_buf: &mut Vec<(usize, u8)>,
+        leaf: &StemLeafExec,
+        src: &DenseTensor<Complex64>,
+        assignment: usize,
+        buf: &mut [Complex64],
+    ) {
+        fix_buf.clear();
+        fix_buf.extend(
+            leaf.fixes.iter().map(|&(axis, bit_pos)| (axis, ((assignment >> bit_pos) & 1) as u8)),
+        );
+        src.slice_into(fix_buf, buf);
     }
-    cached_tensor(seeds, cache, id)
-        .map(DenseTensor::data)
-        .ok_or_else(|| Error::Internal(format!("operand {id} missing from slots and caches")))
+
+    /// Gather a stem leaf into a freshly acquired pooled buffer held in its
+    /// slot.
+    fn load_leaf(&mut self, leaf: &StemLeafExec, src: &DenseTensor<Complex64>, assignment: usize) {
+        let mut buf = self.pool.acquire(leaf.len, &mut self.counters);
+        Self::gather(&mut self.fix_buf, leaf, src, assignment, &mut buf);
+        self.slots[leaf.node] = Some(buf);
+    }
+
+    /// Wrap the root buffer as the subtask's result tensor, recycling the
+    /// previous subtask's root index set instead of cloning the compiled
+    /// one: the steady-state loop allocates nothing at all.
+    fn root_tensor(
+        &mut self,
+        exec: &StemExec,
+        root: usize,
+    ) -> Result<DenseTensor<Complex64>, Error> {
+        let buf = self.slots[root]
+            .take()
+            .ok_or_else(|| Error::Internal("root tensor missing after stem replay".into()))?;
+        let indices = match self.root_indices.take() {
+            Some(indices) => indices,
+            None => exec.node_indices[root].clone().ok_or_else(|| {
+                Error::Internal("root index set missing from stem compile".into())
+            })?,
+        };
+        Ok(DenseTensor::from_data(indices, buf))
+    }
+
+    /// Return every buffer still held in the slot table to the pool.
+    fn release_slots(&mut self) {
+        for slot in self.slots.iter_mut() {
+            if let Some(buf) = slot.take() {
+                self.pool.release(buf, &mut self.counters);
+            }
+        }
+    }
 }
 
-/// Execute one slice assignment on the worker's buffer pool: every sliced
-/// leaf is gathered into a recycled buffer, every contraction runs through
-/// its precompiled kernel into recycled output/scratch buffers, and buffers
-/// return to the pool the moment their statically known lifetime ends. The
-/// acquire/release sequence mirrors [`qtn_tensornet::lifetime`]'s phase
-/// simulation step for step, which is why the plan's predicted peak and
-/// slot counts are exact. Bit-identical to [`run_subtask_stem`].
+/// Data of a slice-invariant stem operand: a branch-cache entry or the
+/// frontier value bitstring `b` sees.
+fn cached_operand<'a>(
+    exec: &StemExec,
+    cache: &'a BranchCache,
+    frontier: &'a Frontier,
+    src: Operand,
+    id: usize,
+    b: usize,
+) -> Result<&'a [Complex64], Error> {
+    match src {
+        Operand::Branch => cache
+            .tensor(id)
+            .map(DenseTensor::data)
+            .ok_or_else(|| Error::Internal(format!("branch operand {id} missing from cache"))),
+        Operand::Frontier => Ok(frontier.value(exec, id, b)),
+        Operand::Slot => Err(Error::Internal(format!("stem operand {id} missing from slots"))),
+    }
+}
+
+/// Replay one stem step whose slot operands die with it (every step of a
+/// single execution, and every StemPure step of a batch): operands are
+/// taken out of the slot table, contracted through the precompiled kernel
+/// into recycled output and scratch buffers, and released immediately —
+/// the acquire/release sequence [`qtn_tensornet::lifetime`] simulates.
+fn replay_consuming(
+    exec: &StemExec,
+    cache: &BranchCache,
+    frontier: &Frontier,
+    step: &StepExec,
+    ws: &mut StemWorkspace,
+    gemm: &mut GemmTally,
+) -> Result<(), Error> {
+    fault_contraction_tick();
+    let StemWorkspace { pool, counters, slots, .. } = ws;
+    let take = |slots: &mut [Option<Vec<Complex64>>], src: Operand, id: usize| {
+        if src == Operand::Slot {
+            slots[id].take()
+        } else {
+            None
+        }
+    };
+    let left_owned = take(slots, step.left_src, step.left);
+    let right_owned = take(slots, step.right_src, step.right);
+    let left = match &left_owned {
+        Some(buf) => buf.as_slice(),
+        None => cached_operand(exec, cache, frontier, step.left_src, step.left, 0)?,
+    };
+    let right = match &right_owned {
+        Some(buf) => buf.as_slice(),
+        None => cached_operand(exec, cache, frontier, step.right_src, step.right, 0)?,
+    };
+    let mut left_scratch = pool.acquire(left.len(), counters);
+    let mut right_scratch = pool.acquire(right.len(), counters);
+    let mut out = pool.acquire(step.kernel.output().len(), counters);
+    step.kernel.contract_into(left, right, &mut left_scratch, &mut right_scratch, &mut out);
+    gemm.record_kernel(&step.kernel, 1);
+    pool.release(left_scratch, counters);
+    pool.release(right_scratch, counters);
+    if let Some(buf) = left_owned {
+        pool.release(buf, counters);
+    }
+    if let Some(buf) = right_owned {
+        pool.release(buf, counters);
+    }
+    slots[step.out] = Some(out);
+    Ok(())
+}
+
+/// Execute one slice assignment of a single execution on the worker's
+/// buffer pool: every sliced leaf is gathered into a recycled buffer, every
+/// contraction runs through its precompiled kernel into recycled
+/// output/scratch buffers, and buffers return to the pool the moment their
+/// statically known lifetime ends. The acquire/release sequence mirrors
+/// [`qtn_tensornet::lifetime`]'s phase simulation step for step, which is
+/// why the plan's predicted peak and slot counts are exact. Bit-identical
+/// to [`run_subtask_stem`]. `leaf_src[i]` is the source tensor of
+/// `exec.leaves[i]`.
 ///
 /// Returns the root tensor (whose data buffer the caller must release back
 /// to the pool after merging) and the replayed flop count, split as
 /// `(root, total_flops, pure_flops)`.
+#[allow(clippy::too_many_arguments)]
 fn run_subtask_stem_pooled(
     plan: &SimulationPlan,
     exec: &StemExec,
-    seeds: &HashMap<usize, DenseTensor<Complex64>>,
-    overrides: &LeafOverrides,
+    frontier: &Frontier,
+    leaf_src: &[&DenseTensor<Complex64>],
     assignment: usize,
     ws: &mut StemWorkspace,
     gemm: &mut GemmTally,
 ) -> Result<(DenseTensor<Complex64>, u64, u64), Error> {
     let cache = cache_of(plan)?;
-    let StemWorkspace { pool, counters, slots, fix_buf, root_indices } = ws;
     let mut flops = 0u64;
     let mut pure_flops = 0u64;
-
-    // Materialise the stem leaves: one strided gather per leaf, straight
-    // from the (overridden) source tensor into a pooled buffer.
-    for leaf in &exec.leaves {
-        let src = overrides.get(&leaf.vertex).unwrap_or(&plan.build.nodes[leaf.vertex].data);
-        fix_buf.clear();
-        fix_buf.extend(
-            leaf.fixes.iter().map(|&(axis, bit_pos)| (axis, ((assignment >> bit_pos) & 1) as u8)),
-        );
-        let mut buf = pool.acquire(leaf.len, counters);
-        src.slice_into(fix_buf, &mut buf);
-        slots[leaf.node] = Some(buf);
+    for (leaf, src) in exec.leaves.iter().zip(leaf_src) {
+        ws.load_leaf(leaf, src, assignment);
     }
-
-    // Replay the stem schedule through the precompiled kernels.
     for step in &exec.steps {
-        fault_contraction_tick();
-        let left_owned = slots[step.left].take();
-        let right_owned = slots[step.right].take();
-        let left = stem_operand_data(&left_owned, seeds, cache, step.left)?;
-        let right = stem_operand_data(&right_owned, seeds, cache, step.right)?;
-        let mut left_scratch = pool.acquire(left.len(), counters);
-        let mut right_scratch = pool.acquire(right.len(), counters);
-        let mut out = pool.acquire(step.kernel.output().len(), counters);
-        step.kernel.contract_into(left, right, &mut left_scratch, &mut right_scratch, &mut out);
+        replay_consuming(exec, cache, frontier, step, ws, gemm)?;
         flops += step.kernel.flops();
-        gemm.record_kernel(&step.kernel);
         if !step.mixed {
             pure_flops += step.kernel.flops();
         }
-        pool.release(left_scratch, counters);
-        pool.release(right_scratch, counters);
-        if let Some(buf) = left_owned {
-            pool.release(buf, counters);
-        }
-        if let Some(buf) = right_owned {
-            pool.release(buf, counters);
-        }
-        slots[step.out] = Some(out);
     }
-
-    let root = plan.tree.root();
-    let buf = slots[root]
-        .take()
-        .ok_or_else(|| Error::Internal("root tensor missing after pooled replay".into()))?;
-    // Recycle the previous subtask's root index set instead of cloning the
-    // compiled one: the steady-state loop allocates nothing at all.
-    let indices = match root_indices.take() {
-        Some(indices) => indices,
-        None => exec.node_indices[root]
-            .clone()
-            .ok_or_else(|| Error::Internal("root index set missing from stem compile".into()))?,
-    };
-    Ok((DenseTensor::from_data(indices, buf), flops, pure_flops))
+    Ok((ws.root_tensor(exec, plan.tree.root())?, flops, pure_flops))
 }
 
 /// Chaos hook: the [`FaultPoint::WorkerPanic`] injection point, checked
@@ -984,7 +1588,7 @@ fn fault_contraction_tick() {
     }
 }
 
-/// The plan's built branch cache (pooled replay runs strictly after
+/// The plan's built branch cache (every replay runs strictly after
 /// [`prepare_reuse`] built it).
 fn cache_of(plan: &SimulationPlan) -> Result<&BranchCache, Error> {
     plan.branch_cache
@@ -1110,16 +1714,16 @@ pub fn try_execute_plan(
     execute_on_pool(global_pool(), &plan, &Arc::new(LeafOverrides::new()), config)
 }
 
-/// Accounting of the cache phases of one reusing execution.
+/// Accounting of the cache phases of one reusing execution, plus the
+/// compiled program and the frontier every worker reads.
 struct ReuseState {
-    /// Frontier-origin cached inputs to the per-subtask stem replay, keyed
-    /// by tree-node id. Branch-origin inputs are *not* copied here — workers
-    /// read them straight from the plan's [`BranchCache`] through their
-    /// `Arc<SimulationPlan>`, so no branch tensor is cloned per execution.
-    seeds: Arc<HashMap<usize, DenseTensor<Complex64>>>,
-    /// Compiled stem replay (slicing recipes + contraction kernels), built
-    /// only when pooled execution is on.
-    stem_exec: Option<Arc<StemExec>>,
+    /// The compiled program (memoized on the plan unless an override
+    /// changed a leaf's axis order).
+    exec: Arc<StemExec>,
+    /// This execution's frontier values and key ids. Branch-origin inputs
+    /// are *not* copied anywhere — workers read them straight from the
+    /// plan's [`BranchCache`] through their `Arc<SimulationPlan>`.
+    frontier: Arc<Frontier>,
     /// Full branch-cache build cost (paid once in the plan's lifetime;
     /// after a parameter rebind this is still the *cold* bill — executed
     /// plus survived — so reuse accounting prices replays consistently).
@@ -1127,9 +1731,6 @@ struct ReuseState {
     /// Branch flops/contractions actually executed by *this* call.
     branch_flops: u64,
     branch_contractions: u64,
-    /// Frontier flops/contractions executed by this call.
-    frontier_flops: u64,
-    frontier_contractions: u64,
     /// Rebind accounting of the branch-cache build, reported (like
     /// `branch_flops`) only by the call that ran the build.
     params_rebound: u64,
@@ -1138,18 +1739,36 @@ struct ReuseState {
     /// Kernel-dispatch tally of the branch build executed by *this* call
     /// (zero unless this execution built the cache).
     branch_gemm: GemmTally,
-    /// Kernel-dispatch tally of this execution's frontier build.
-    frontier_gemm: GemmTally,
 }
 
-/// Build the branch cache (first execution only) and this execution's
-/// frontier, assemble the seed tensors for the per-subtask stem replay, and
-/// — when `pooled` — compile the stem replay's kernels and slicing recipes.
-fn prepare_reuse(
-    plan: &SimulationPlan,
-    overrides: &LeafOverrides,
-    pooled: bool,
-) -> Result<ReuseState, Error> {
+impl ReuseState {
+    /// Fold the serial phases' work into an execution's stats.
+    fn account(&self, stats: &mut ExecutionStats, gemm: &mut GemmTally) {
+        stats.frontier_flops = self.frontier.flops;
+        stats.frontier_contractions = self.frontier.contractions;
+        stats.branch_flops = self.branch_flops;
+        stats.branch_contractions = self.branch_contractions;
+        stats.params_rebound = self.params_rebound;
+        stats.branch_entries_invalidated = self.entries_invalidated;
+        stats.branch_flops_survived_rebind = self.survived_flops;
+        stats.flops += self.frontier.flops + self.branch_flops;
+        gemm.add(&self.branch_gemm);
+        gemm.add(&self.frontier.gemm);
+    }
+
+    /// Hand the frontier buffers back to the compiled program once every
+    /// worker has dropped its handle.
+    fn finish(self) {
+        if let Ok(frontier) = Arc::try_unwrap(self.frontier) {
+            self.exec.recycle(frontier.tables);
+        }
+    }
+}
+
+/// The serial front end of a reusing execution: build the branch cache
+/// (first execution only), fetch the compiled program, compute the key ids
+/// and run the frontier. A single execution is a batch of one.
+fn prepare_reuse(plan: &SimulationPlan, input: LeafInput<'_>) -> Result<ReuseState, Error> {
     // Lazily build the plan-lifetime branch cache. `OnceLock::get_or_init`
     // blocks concurrent initializers, so even racing first executions run
     // the (potentially dominant-cost) build exactly once — the thread that
@@ -1164,53 +1783,87 @@ fn prepare_reuse(
         .as_ref()
         .map_err(Clone::clone)?;
 
-    let mut frontier = build_frontier(plan, cache, overrides)?;
-    let mut seeds = HashMap::with_capacity(plan.classification.frontier_keep().len());
-    for &id in plan.classification.stem_seeds() {
-        match frontier.tensors.remove(&id) {
-            Some(t) => {
-                seeds.insert(id, t);
-            }
-            // Branch-origin seeds stay in the plan's cache; just check they
-            // are there so workers cannot hit a missing operand mid-sweep.
-            None if cache.tensor(id).is_some() => {}
-            None => return Err(Error::Internal(format!("stem seed {id} missing"))),
-        }
-    }
-    let stem_exec = if pooled {
-        // Rebinding preserves every leaf's index set, so the compiled stem
-        // is plan-invariant and memoized on the plan; an override that
-        // *changes* a leaf's axis order gets a fresh, uncached compile.
-        let shapes_preserved = overrides
-            .iter()
-            .all(|(vertex, t)| t.indices() == plan.build.nodes[*vertex].data.indices());
-        if shapes_preserved {
-            let exec = plan
-                .stem_exec
-                .get_or_init(|| build_stem_exec(plan, cache, &seeds, overrides).map(Arc::new))
-                .as_ref()
-                .map_err(Clone::clone)?;
-            Some(Arc::clone(exec))
-        } else {
-            Some(Arc::new(build_stem_exec(plan, cache, &seeds, overrides)?))
-        }
-    } else {
-        None
+    // Rebinding preserves every leaf's index set, so the compiled program
+    // is plan-invariant and memoized on the plan; an override that
+    // *changes* a leaf's axis order gets a fresh, uncached compile.
+    let no_overrides = LeafOverrides::new();
+    let overrides = match input {
+        LeafInput::Overrides(overrides) => overrides,
+        LeafInput::Bitstrings(_) => &no_overrides,
     };
+    let shapes_preserved =
+        overrides.iter().all(|(vertex, t)| t.indices() == plan.build.nodes[*vertex].data.indices());
+    let exec = if shapes_preserved {
+        let exec = plan
+            .stem_exec
+            .get_or_init(|| build_stem_exec(plan, cache, overrides).map(Arc::new))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        Arc::clone(exec)
+    } else {
+        Arc::new(build_stem_exec(plan, cache, overrides)?)
+    };
+
+    let num_nodes = plan.tree.nodes().len();
+    let keys = match input {
+        LeafInput::Overrides(_) => KeyTable::build(&exec, num_nodes, 1, |_, _| 0),
+        LeafInput::Bitstrings(bits) => {
+            KeyTable::build(&exec, num_nodes, bits.len(), |b, qubit| bits[b][qubit])
+        }
+    };
+    let frontier = build_frontier(plan, &exec, cache, keys, input)?;
     Ok(ReuseState {
-        seeds: Arc::new(seeds),
-        stem_exec,
+        exec,
+        frontier: Arc::new(frontier),
         branch_flops_total: cache.cold_flops,
         branch_flops: if built_here { cache.flops } else { 0 },
         branch_contractions: if built_here { cache.contractions } else { 0 },
-        frontier_flops: frontier.flops,
-        frontier_contractions: frontier.contractions,
         params_rebound: if built_here { cache.params_rebound } else { 0 },
         entries_invalidated: if built_here { cache.entries_invalidated } else { 0 },
         survived_flops: if built_here { cache.survived_flops } else { 0 },
         branch_gemm: if built_here { cache.gemm } else { GemmTally::default() },
-        frontier_gemm: frontier.gemm,
     })
+}
+
+/// The shape of a sweep: subtasks to run, workers to use, the sliced edges
+/// (all and open) and the canonical output index set.
+struct SweepShape {
+    sliced: Vec<IndexId>,
+    sliced_open: Vec<IndexId>,
+    total_subtasks: usize,
+    run_subtasks: usize,
+    workers: usize,
+    /// Output accumulator over the open indices (sorted for a canonical
+    /// axis order; callers permute to their preferred order).
+    output_indices: IndexSet,
+}
+
+impl SweepShape {
+    fn of(plan: &SimulationPlan, config: &ExecutorConfig) -> Self {
+        let open = plan.network.open_indices();
+        let sliced = plan.slicing.sliced.clone();
+        let sliced_open = sliced.iter().copied().filter(|e| open.contains(e)).collect();
+        let total_subtasks = 1usize << sliced.len();
+        let run_subtasks = if config.max_subtasks == 0 {
+            total_subtasks
+        } else {
+            config.max_subtasks.min(total_subtasks)
+        };
+        let workers = config.workers.max(1).min(run_subtasks.max(1));
+        let mut root = plan.tree.node(plan.tree.root()).indices.clone();
+        root.sort_unstable();
+        let output_indices = root.into_iter().collect();
+        SweepShape { sliced, sliced_open, total_subtasks, run_subtasks, workers, output_indices }
+    }
+
+    /// Mean wall time of one subtask on one worker over a sweep.
+    fn seconds_per_subtask(&self, sweep_seconds: f64) -> f64 {
+        if self.run_subtasks > 0 {
+            sweep_seconds * self.workers as f64 / self.run_subtasks as f64
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Execute a plan on an explicit [`WorkerPool`], substituting `overrides`
@@ -1236,27 +1889,9 @@ pub fn execute_on_pool(
     overrides: &Arc<LeafOverrides>,
     config: &ExecutorConfig,
 ) -> Result<(DenseTensor<Complex64>, ExecutionStats), Error> {
-    let open = plan.network.open_indices();
-    let sliced = plan.slicing.sliced.clone();
-    let sliced_open: Vec<IndexId> = sliced.iter().copied().filter(|e| open.contains(e)).collect();
-
-    let total_subtasks = 1usize << sliced.len();
-    let run_subtasks = if config.max_subtasks == 0 {
-        total_subtasks
-    } else {
-        config.max_subtasks.min(total_subtasks)
-    };
-    let workers = config.workers.max(1).min(run_subtasks.max(1));
-
-    // Output accumulator over the open indices (sorted for a canonical
-    // axis order; callers permute to their preferred order).
-    let output_indices: qtn_tensor::IndexSet = {
-        let mut root = plan.tree.node(plan.tree.root()).indices.clone();
-        root.sort_unstable();
-        root.into_iter().collect()
-    };
-
     let start = Instant::now();
+    let shape = SweepShape::of(plan, config);
+    let SweepShape { run_subtasks, workers, .. } = shape;
 
     // The classification assumed only output-projector leaves are
     // overridable; an override targeting any other leaf would make cached
@@ -1265,10 +1900,17 @@ pub fn execute_on_pool(
         && overrides
             .keys()
             .all(|v| plan.build.projector_leaves.iter().any(|&(_, node)| node == *v));
-    let pooled = reuse && config.pool;
-    let reuse_state = if reuse { Some(prepare_reuse(plan, overrides, pooled)?) } else { None };
+    let state =
+        if reuse { Some(prepare_reuse(plan, LeafInput::Overrides(overrides))?) } else { None };
+    let pooled = config.pool && state.as_ref().is_some_and(|s| s.exec.root_is_stem);
+    // The allocate-per-contraction stem replay reads frontier seeds as
+    // tensors; the pooled replay reads the frontier tables in place.
+    let seeds = match &state {
+        Some(s) if !pooled && s.exec.root_is_stem => Some(Arc::new(materialize_seeds(plan, s))),
+        _ => None,
+    };
 
-    // Per-subtask timing starts after the serial cache phases so
+    // Per-subtask timing starts after the serial front end so
     // `seconds_per_subtask` prices a subtask of the parallel sweep, not an
     // amortized share of the one-off builds.
     let sweep_start = Instant::now();
@@ -1279,21 +1921,17 @@ pub fn execute_on_pool(
         let tx = tx.clone();
         let plan = Arc::clone(plan);
         let overrides = Arc::clone(overrides);
-        let seeds = reuse_state.as_ref().map(|s| Arc::clone(&s.seeds));
-        let stem_exec = reuse_state
-            .as_ref()
-            .and_then(|s| s.stem_exec.as_ref())
-            .filter(|e| e.root_is_stem)
-            .map(Arc::clone);
-        let sliced = sliced.clone();
-        let sliced_open = sliced_open.clone();
-        let output_indices = output_indices.clone();
+        let program = state.as_ref().map(|s| (Arc::clone(&s.exec), Arc::clone(&s.frontier)));
+        let seeds = seeds.as_ref().map(Arc::clone);
+        let sliced = shape.sliced.clone();
+        let sliced_open = shape.sliced_open.clone();
+        let output_indices = shape.output_indices.clone();
         pool.submit(Box::new(move || {
             // The worker's buffer pool persists on the plan across
             // executions (checked back in below, on success *and* error,
             // so a failed execution never cools the pool), so only the
             // very first execution of a plan pays any allocation at all.
-            let mut ws = stem_exec.as_ref().map(|_| {
+            let mut ws = pooled.then(|| {
                 StemWorkspace::new(plan.tree.nodes().len(), plan.stem_pools.checkout(worker))
             });
             // A panicking subtask (injected or real) must fail only this
@@ -1305,14 +1943,30 @@ pub fn execute_on_pool(
                 let mut flops = 0u64;
                 let mut pure_flops = 0u64;
                 let mut gemm = GemmTally::default();
+                // Stem leaves read the plan's data, or this execution's
+                // override for a projector.
+                let leaf_src: Vec<&DenseTensor<Complex64>> = match &program {
+                    Some((exec, _)) if pooled => exec
+                        .leaves
+                        .iter()
+                        .map(|leaf| {
+                            let own = &plan.build.nodes[leaf.vertex].data;
+                            if leaf.ordinal.is_some() {
+                                overrides.get(&leaf.vertex).unwrap_or(own)
+                            } else {
+                                own
+                            }
+                        })
+                        .collect(),
+                    _ => Vec::new(),
+                };
                 // Static striding: worker w owns subtasks w, w+W, w+2W, …
                 let mut assignment = worker;
                 while assignment < run_subtasks {
-                    match (&stem_exec, &seeds) {
-                        (Some(exec), Some(seeds)) => {
-                            let ws = ws.as_mut().expect("workspace exists with stem_exec");
+                    match (&program, ws.as_mut(), &seeds) {
+                        (Some((exec, frontier)), Some(ws), _) => {
                             let (result, subtask_flops, subtask_pure) = run_subtask_stem_pooled(
-                                &plan, exec, seeds, &overrides, assignment, ws, &mut gemm,
+                                &plan, exec, frontier, &leaf_src, assignment, ws, &mut gemm,
                             )?;
                             flops += subtask_flops;
                             pure_flops += subtask_pure;
@@ -1324,7 +1978,7 @@ pub fn execute_on_pool(
                             ws.pool.release(buf, &mut ws.counters);
                             ws.root_indices = Some(indices);
                         }
-                        (None, Some(seeds)) => {
+                        (Some(_), None, Some(seeds)) => {
                             let (result, subtask_flops, subtask_pure) = run_subtask_stem(
                                 &plan, seeds, &overrides, &sliced, assignment, &mut gemm,
                             )?;
@@ -1332,7 +1986,14 @@ pub fn execute_on_pool(
                             pure_flops += subtask_pure;
                             merge_subtask(&mut partial, &result, &sliced_open, &sliced, assignment);
                         }
-                        (_, None) => {
+                        // No contraction depends on the slice assignment
+                        // (empty slicing set): the cached root tensor *is*
+                        // the subtask result.
+                        (Some((exec, frontier)), None, None) => {
+                            let result = slice_invariant_root(&plan, exec, frontier, 0)?;
+                            merge_subtask(&mut partial, &result, &sliced_open, &sliced, assignment);
+                        }
+                        (None, _, _) => {
                             let (result, subtask_flops) =
                                 run_subtask(&plan, &overrides, &sliced, assignment, &mut gemm)?;
                             flops += subtask_flops;
@@ -1344,16 +2005,16 @@ pub fn execute_on_pool(
                 Ok((partial, flops, pure_flops, gemm))
             }))
             .unwrap_or_else(|payload| Err(Error::from_panic(payload)));
+            // The frontier handle goes before the result does, so the
+            // caller can reclaim the frontier buffers once every result is
+            // in.
+            drop(program);
             // Return the pool regardless of the outcome: buffers still
             // sitting in the slot table of a failed replay are drained
             // back first, so even an error leaves the free lists warm.
             let mut counters = PoolCounters::default();
             if let Some(mut ws) = ws {
-                for slot in ws.slots.iter_mut() {
-                    if let Some(buf) = slot.take() {
-                        ws.pool.release(buf, &mut ws.counters);
-                    }
-                }
+                ws.release_slots();
                 counters = ws.counters;
                 plan.stem_pools.checkin(worker, ws.pool);
             }
@@ -1389,7 +2050,6 @@ pub fn execute_on_pool(
         gemm_tally.add(&worker_gemm);
         pool_counters.merge(&worker_counters);
     }
-    let wall = start.elapsed().as_secs_f64();
     let sweep_wall = sweep_start.elapsed().as_secs_f64();
 
     // A full replay would pay the branch + frontier contractions again in
@@ -1397,7 +2057,7 @@ pub fn execute_on_pool(
     // counts are identical in both modes).
     let mut stats = ExecutionStats {
         subtasks_run: run_subtasks,
-        subtasks_total: total_subtasks,
+        subtasks_total: shape.total_subtasks,
         flops: stem_flops,
         stem_flops,
         stem_pure_flops,
@@ -1406,154 +2066,51 @@ pub fn execute_on_pool(
         buffers_reused: pool_counters.reused,
         peak_bytes_in_flight: pool_counters.peak_in_flight_bytes,
         predicted_peak_bytes: plan.memory_plan.stem.peak_bytes(),
-        wall_seconds: wall,
-        seconds_per_subtask: if run_subtasks > 0 {
-            sweep_wall * workers as f64 / run_subtasks as f64
-        } else {
-            0.0
-        },
+        prepare_seconds: (sweep_start - start).as_secs_f64(),
+        seconds_per_subtask: shape.seconds_per_subtask(sweep_wall),
         workers,
         ..ExecutionStats::default()
     };
-    if let Some(state) = reuse_state {
-        let per_subtask_extra = state.branch_flops_total + state.frontier_flops;
-        stats.frontier_flops = state.frontier_flops;
-        stats.branch_flops = state.branch_flops;
-        stats.branch_contractions = state.branch_contractions;
-        stats.frontier_contractions = state.frontier_contractions;
-        stats.params_rebound = state.params_rebound;
-        stats.branch_entries_invalidated = state.entries_invalidated;
-        stats.branch_flops_survived_rebind = state.survived_flops;
+    if let Some(state) = state {
+        state.account(&mut stats, &mut gemm_tally);
+        let per_subtask_extra = state.branch_flops_total + state.frontier.flops;
         stats.stem_pure_contractions =
             plan.classification.stem_pure_schedule().len() as u64 * run_subtasks as u64;
         stats.stem_mixed_flops = stem_flops - stem_pure_flops;
         stats.stem_mixed_contractions =
             plan.classification.stem_mixed_schedule().len() as u64 * run_subtasks as u64;
-        stats.flops = stem_flops + state.frontier_flops + state.branch_flops;
         stats.branch_flops_reused = per_subtask_extra
             .saturating_mul(run_subtasks as u64)
-            .saturating_sub(state.frontier_flops)
+            .saturating_sub(state.frontier.flops)
             .saturating_sub(state.branch_flops);
-        gemm_tally.add(&state.branch_gemm);
-        gemm_tally.add(&state.frontier_gemm);
+        state.finish();
     }
     stats.apply_gemm(&gemm_tally);
     stats.simd_level = qtn_tensor::simd_level().as_str();
+    stats.wall_seconds = start.elapsed().as_secs_f64();
     Ok((result, stats))
+}
+
+/// The frontier stem seeds of a single execution as tensors, by tree-node
+/// id, for the allocate-per-contraction stem replay.
+fn materialize_seeds(
+    plan: &SimulationPlan,
+    state: &ReuseState,
+) -> Vec<Option<DenseTensor<Complex64>>> {
+    let exec = &state.exec;
+    let mut seeds = vec![None; plan.tree.nodes().len()];
+    for &id in plan.classification.stem_seeds() {
+        if let Some(indices) = exec.node_indices[id].as_ref() {
+            let data = state.frontier.value(exec, id, 0).to_vec();
+            seeds[id] = Some(DenseTensor::from_data(indices.clone(), data));
+        }
+    }
+    seeds
 }
 
 // ---------------------------------------------------------------------------
 // Batched multi-amplitude execution
 // ---------------------------------------------------------------------------
-
-/// One bitstring's frontier seeds: the slice-invariant tensors its stem
-/// replay reads, keyed by tree-node id.
-type SeedMap = Arc<HashMap<usize, DenseTensor<Complex64>>>;
-
-/// Accounting of the cache phases of one batched execution: one
-/// [`ReuseState`] worth of per-bitstring state plus the shared plan-level
-/// caches.
-struct BatchReuseState {
-    /// Per-bitstring frontier seeds, index-aligned with the overrides batch.
-    seeds: Vec<SeedMap>,
-    /// Compiled stem replay shared by every bitstring (rebinding preserves
-    /// every leaf's index set, so one compile serves the whole batch).
-    stem_exec: Option<Arc<StemExec>>,
-    branch_flops_total: u64,
-    branch_flops: u64,
-    branch_contractions: u64,
-    /// Frontier work summed over the batch (each bitstring absorbs its own
-    /// projectors once).
-    frontier_flops: u64,
-    frontier_contractions: u64,
-    /// Rebind accounting of the branch-cache build (see [`ReuseState`]).
-    params_rebound: u64,
-    entries_invalidated: u64,
-    survived_flops: u64,
-    /// Kernel-dispatch tallies executed by this call (branch zero unless
-    /// this call built the cache; frontier summed over the deduped batch).
-    branch_gemm: GemmTally,
-    frontier_gemm: GemmTally,
-}
-
-/// A dependent-bits deduplication key: the output bits a node's subtree
-/// depends on, packed *compactly* — bit `j` of the key is the bitstring's
-/// value at the `j`-th set ordinal of the node's dependency mask,
-/// ascending. Two bitstrings with equal keys are indistinguishable to any
-/// tensor whose subtree touches only the masked projectors. Nodes
-/// depending on up to 128 projector ordinals pack into one `u128`; wider
-/// dependency cones (wide-output circuits) spill into boxed words, so
-/// dedup never degrades to per-bitstring rebuilds no matter how many
-/// qubits the circuit measures.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum DepKey {
-    Packed(u128),
-    Wide(Box<[u128]>),
-}
-
-/// Pack one bitstring's dependent bits for a node. `ordinals` lists the
-/// node's dependency-mask ordinals ascending (see
-/// [`qtn_tensornet::DependencyMasks`]); `ordinal_bits[i]` is the
-/// bitstring's value at projector ordinal `i`.
-fn pack_dep_key(ordinals: &[usize], ordinal_bits: &[u8]) -> DepKey {
-    if ordinals.len() <= 128 {
-        let mut key = 0u128;
-        for (j, &ord) in ordinals.iter().enumerate() {
-            key |= ((ordinal_bits[ord] & 1) as u128) << j;
-        }
-        DepKey::Packed(key)
-    } else {
-        let mut words = vec![0u128; ordinals.len().div_ceil(128)];
-        for (j, &ord) in ordinals.iter().enumerate() {
-            words[j / 128] |= ((ordinal_bits[ord] & 1) as u128) << (j % 128);
-        }
-        DepKey::Wide(words.into_boxed_slice())
-    }
-}
-
-/// One bitstring's values at every projector ordinal: `result[i]` is the
-/// output bit of the qubit `plan.build.projector_leaves[i]` measures — the
-/// ordinal order [`classify_nodes`](qtn_tensornet::classify_nodes) (and so
-/// every dependency mask) is defined over.
-fn ordinal_bits_of(plan: &SimulationPlan, bits: &[u8]) -> Vec<u8> {
-    plan.build
-        .projector_leaves
-        .iter()
-        .map(|&(q, _)| bits.get(q).copied().unwrap_or(0) & 1)
-        .collect()
-}
-
-/// The dependency-mask ordinals of every tree node, ascending, from the
-/// plan's classification.
-fn node_ordinals_of(plan: &SimulationPlan) -> Vec<Vec<usize>> {
-    let masks = plan.classification.projector_masks();
-    (0..plan.tree.nodes().len()).map(|n| masks.ordinals(n).collect()).collect()
-}
-
-/// Precomputed keyed-dedup tables for the StemMixed suffix of one batched
-/// execution, shared read-only by every worker. For each StemMixed node
-/// (leaf or contraction output) every bitstring's dependent-bits key is
-/// interned to a dense id, and the batch is sorted so bitstrings with equal
-/// key prefixes are adjacent: the executor keeps a single-entry
-/// (most-recent-key) cache per node, which on spine-shaped suffixes (nested
-/// dependency masks, where the heavy mixed contractions live) recomputes
-/// each node exactly once per distinct key it has in the batch.
-struct MixedDedup {
-    /// Bitstring indices in processing order: lexicographically sorted by
-    /// the per-node key ids taken in mixed-schedule order, with submission
-    /// order as the stable tie-break. Reordering within a subtask is safe —
-    /// every bitstring accumulates into its own partial, and partials still
-    /// merge subtasks in ascending-assignment order per worker, exactly
-    /// like a loop of singles.
-    order: Vec<usize>,
-    /// Per tree node: each bitstring's interned key id (`None` for nodes
-    /// outside the mixed suffix).
-    key_ids: Vec<Option<Vec<u32>>>,
-    /// Sum over StemMixed *contraction* nodes of the number of distinct
-    /// keys in the batch — the per-subtask floor on mixed contractions, and
-    /// exactly what the sorted single-entry cache achieves on spines.
-    distinct_contraction_keys: u64,
-}
 
 /// One worker's StemMixed-suffix tally for a batched execution: what the
 /// keyed cache executed and what it skipped. Executed + skipped always
@@ -1576,299 +2133,6 @@ impl MixedTally {
     }
 }
 
-/// Build the [`MixedDedup`] tables for a batch on a plan whose root is
-/// StemMixed.
-fn build_mixed_dedup(plan: &SimulationPlan, bitstrings: &[Vec<u8>]) -> MixedDedup {
-    let cls = &plan.classification;
-    let batch = bitstrings.len();
-    let num_nodes = plan.tree.nodes().len();
-    let node_ordinals = node_ordinals_of(plan);
-    let batch_ordinal_bits: Vec<Vec<u8>> =
-        bitstrings.iter().map(|bits| ordinal_bits_of(plan, bits)).collect();
-
-    let mut key_ids: Vec<Option<Vec<u32>>> = vec![None; num_nodes];
-    let mut distinct: Vec<u32> = vec![0; num_nodes];
-    for node in 0..num_nodes {
-        if cls.class(node) != NodeClass::StemMixed {
-            continue;
-        }
-        let mut interned: HashMap<DepKey, u32> = HashMap::new();
-        let mut ids = Vec::with_capacity(batch);
-        for ob in &batch_ordinal_bits {
-            let key = pack_dep_key(&node_ordinals[node], ob);
-            let next = interned.len() as u32;
-            ids.push(*interned.entry(key).or_insert(next));
-        }
-        distinct[node] = interned.len() as u32;
-        key_ids[node] = Some(ids);
-    }
-
-    let outs: Vec<usize> = cls.stem_mixed_schedule().iter().map(|&(_, _, out)| out).collect();
-    let distinct_contraction_keys = outs.iter().map(|&o| distinct[o] as u64).sum();
-    // Sort priority. Processing order never affects correctness (a node
-    // recomputes exactly when its key differs from what its buffer holds,
-    // children before parents), only how often the single-entry caches miss
-    // — so group the batch around the nodes where a miss costs the most.
-    //
-    // Dependency masks form a *laminar* family (each is the union of its
-    // children's), so arrange the distinct masks as a containment forest
-    // and emit them in cost-weighted post-order: within a chain the
-    // narrowest mask sorts first — then a wider mask's keys are refined by
-    // the narrower one's groups, and since a wide key determines every
-    // sub-key, **all** chain nodes simultaneously hit their distinct-key
-    // floor. Disjoint subtrees inevitably fragment each other, so the
-    // heavier subtree gets the outer (unfragmented) sort position.
-    let masks = cls.projector_masks();
-    let cost_of = |out: usize| -> u64 {
-        let &(l, r, _) = cls
-            .stem_mixed_schedule()
-            .iter()
-            .find(|&&(_, _, o)| o == out)
-            .expect("out comes from the mixed schedule");
-        let left = &plan.tree.node(l).indices;
-        let right = &plan.tree.node(r).indices;
-        let union = left.len() + right.iter().filter(|e| !left.contains(*e)).count();
-        1u64 << union.min(60)
-    };
-    // Group schedule outs by identical mask, accumulating structural cost.
-    let mut groups: Vec<(Vec<u64>, Vec<usize>, u64)> = Vec::new();
-    for &out in &outs {
-        let words = masks.mask(out).to_vec();
-        match groups.iter_mut().find(|(w, _, _)| *w == words) {
-            Some((_, members, cost)) => {
-                members.push(out);
-                *cost += cost_of(out);
-            }
-            None => groups.push((words, vec![out], cost_of(out))),
-        }
-    }
-    let subset = |a: &[u64], b: &[u64]| a.iter().zip(b).all(|(x, y)| x & !y == 0);
-    let popcount = |w: &[u64]| w.iter().map(|x| x.count_ones() as u64).sum::<u64>();
-    // Minimal strict superset = laminar parent (supersets form a chain).
-    let parent: Vec<Option<usize>> = (0..groups.len())
-        .map(|i| {
-            (0..groups.len())
-                .filter(|&j| j != i && subset(&groups[i].0, &groups[j].0))
-                .min_by_key(|&j| popcount(&groups[j].0))
-        })
-        .collect();
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
-    let mut forest_roots: Vec<usize> = Vec::new();
-    for (i, p) in parent.iter().enumerate() {
-        match p {
-            Some(p) => children[*p].push(i),
-            None => forest_roots.push(i),
-        }
-    }
-    // Subtree weights, bottom-up (children have strictly smaller masks).
-    let mut weight: Vec<u64> = groups.iter().map(|(_, _, c)| *c).collect();
-    let mut by_pop: Vec<usize> = (0..groups.len()).collect();
-    by_pop.sort_by_key(|&i| popcount(&groups[i].0));
-    for &i in &by_pop {
-        if let Some(p) = parent[i] {
-            weight[p] = weight[p].saturating_add(weight[i]);
-        }
-    }
-    // Cost-weighted post-order: heavier subtrees first, masks narrower
-    // than their parent emitted before it.
-    for list in children.iter_mut() {
-        list.sort_by_key(|&i| std::cmp::Reverse(weight[i]));
-    }
-    forest_roots.sort_by_key(|&i| std::cmp::Reverse(weight[i]));
-    let mut priority: Vec<usize> = Vec::new();
-    let mut stack: Vec<(usize, bool)> = forest_roots.iter().rev().map(|&i| (i, false)).collect();
-    while let Some((i, emitted)) = stack.pop() {
-        if emitted {
-            priority.extend(groups[i].1.iter().copied());
-        } else {
-            stack.push((i, true));
-            stack.extend(children[i].iter().rev().map(|&c| (c, false)));
-        }
-    }
-    let mut order: Vec<usize> = (0..batch).collect();
-    order.sort_by(|&a, &b| {
-        for &out in &priority {
-            let ids = key_ids[out].as_ref().expect("mixed out has a key table");
-            match ids[a].cmp(&ids[b]) {
-                std::cmp::Ordering::Equal => continue,
-                unequal => return unequal,
-            }
-        }
-        a.cmp(&b)
-    });
-    MixedDedup { order, key_ids, distinct_contraction_keys }
-}
-
-/// Build every bitstring's frontier seeds for a batch, **deduplicating
-/// shared subtrees**: a Frontier-class tensor depends only on the output
-/// bits of the projector qubits inside its own subtree, so with a batch of
-/// B bitstrings each frontier contraction has at most
-/// `min(B, 2^|qubits in subtree|)` distinct values — usually far fewer than
-/// B. Every frontier contraction is therefore performed once per *distinct
-/// key* instead of once per bitstring; the per-bitstring seed maps then
-/// clone the (small) keep-root tensors they select. Deduplication reuses
-/// tensors computed by the exact same pairwise contractions a per-bitstring
-/// build would run, so results stay bit-identical.
-///
-/// Returns the per-bitstring seed maps plus the executed frontier
-/// `(flops, contractions, dispatch tally)`.
-fn build_frontiers_batch(
-    plan: &SimulationPlan,
-    cache: &BranchCache,
-    bitstrings: &[Vec<u8>],
-    overrides_batch: &[Arc<LeafOverrides>],
-) -> Result<(Vec<SeedMap>, u64, u64, GemmTally), Error> {
-    let cls = &plan.classification;
-    let num_nodes = plan.tree.nodes().len();
-
-    // Dependency masks come from the classification (ordinal bitsets over
-    // the projector leaves); compact packing means any cone width dedups —
-    // wide-output circuits included, with no per-bitstring fallback.
-    let node_ordinals = node_ordinals_of(plan);
-    let batch_ordinal_bits: Vec<Vec<u8>> =
-        bitstrings.iter().map(|bits| ordinal_bits_of(plan, bits)).collect();
-    let key_of = |node: usize, b: usize| pack_dep_key(&node_ordinals[node], &batch_ordinal_bits[b]);
-
-    // Per-node value tables keyed by the masked bits. Leaves read the
-    // per-bitstring overrides; internal nodes contract once per distinct
-    // key, in schedule order (children before parents, so child tables are
-    // complete when the parent needs them).
-    let mut values: Vec<HashMap<DepKey, DenseTensor<Complex64>>> = vec![HashMap::new(); num_nodes];
-    for (node_id, node) in plan.tree.nodes().iter().enumerate() {
-        if cls.class(node_id) != NodeClass::Frontier {
-            continue;
-        }
-        if let Some(vertex) = node.leaf_vertex {
-            for (b, overrides) in overrides_batch.iter().enumerate() {
-                let key = key_of(node_id, b);
-                values[node_id].entry(key).or_insert_with(|| {
-                    overrides.get(&vertex).unwrap_or(&plan.build.nodes[vertex].data).clone()
-                });
-            }
-        }
-    }
-    let mut flops = 0u64;
-    let mut contractions = 0u64;
-    let mut gemm = GemmTally::default();
-    for &(l, r, out) in cls.frontier_schedule() {
-        for b in 0..bitstrings.len() {
-            let key = key_of(out, b);
-            if values[out].contains_key(&key) {
-                continue;
-            }
-            let left_key = key_of(l, b);
-            let right_key = key_of(r, b);
-            let (a, b): (&DenseTensor<Complex64>, &DenseTensor<Complex64>) =
-                match (cls.class(l) == NodeClass::Frontier, cls.class(r) == NodeClass::Frontier) {
-                    (true, true) => (&values[l][&left_key], &values[r][&right_key]),
-                    (true, false) => (
-                        &values[l][&left_key],
-                        cache.tensor(r).ok_or_else(|| {
-                            Error::Internal(format!("branch operand {r} missing from cache"))
-                        })?,
-                    ),
-                    (false, true) => (
-                        cache.tensor(l).ok_or_else(|| {
-                            Error::Internal(format!("branch operand {l} missing from cache"))
-                        })?,
-                        &values[r][&right_key],
-                    ),
-                    (false, false) => {
-                        return Err(Error::Internal(format!(
-                            "frontier contraction {out} has no frontier operand"
-                        )))
-                    }
-                };
-            let spec = ContractionSpec::new(a.indices(), b.indices());
-            flops += spec.flops();
-            contractions += 1;
-            gemm.record_spec(&spec);
-            let result = contract_pair(a, b);
-            values[out].insert(key, result);
-        }
-        // Children feed exactly one parent: their tables are dead now
-        // unless they are keep roots the stem replay reads directly.
-        for child in [l, r] {
-            if !cls.stem_seeds().contains(&child) {
-                values[child] = HashMap::new();
-            }
-        }
-    }
-
-    let mut seeds = Vec::with_capacity(bitstrings.len());
-    for b in 0..bitstrings.len() {
-        let mut map = HashMap::with_capacity(cls.frontier_keep().len());
-        for &id in cls.stem_seeds() {
-            if cls.class(id) == NodeClass::Frontier {
-                let key = key_of(id, b);
-                let t = values[id]
-                    .get(&key)
-                    .ok_or_else(|| Error::Internal(format!("frontier root {id} missing")))?;
-                map.insert(id, t.clone());
-            } else if cache.tensor(id).is_none() {
-                return Err(Error::Internal(format!("stem seed {id} missing")));
-            }
-        }
-        seeds.push(Arc::new(map));
-    }
-    Ok((seeds, flops, contractions, gemm))
-}
-
-/// Run the reuse preparation for a whole batch: the branch cache is built
-/// (at most) once through the plan's `OnceLock`, the batched frontier
-/// builder computes every bitstring's seeds with cross-bitstring subtree
-/// deduplication, and the pooled stem compile is memoized exactly as
-/// across executions.
-fn prepare_reuse_batch(
-    plan: &SimulationPlan,
-    bitstrings: &[Vec<u8>],
-    overrides_batch: &[Arc<LeafOverrides>],
-    pooled: bool,
-) -> Result<BatchReuseState, Error> {
-    // Branch cache: same lazy plan-lifetime build as the single path.
-    let mut built_here = false;
-    let cache = plan
-        .branch_cache
-        .get_or_init(|| {
-            built_here = true;
-            build_branch_cache(plan)
-        })
-        .as_ref()
-        .map_err(Clone::clone)?;
-
-    let (seeds, frontier_flops, frontier_contractions, frontier_gemm) =
-        build_frontiers_batch(plan, cache, bitstrings, overrides_batch)?;
-
-    let stem_exec = if pooled {
-        // Rebinding preserves every leaf's index set, so the compiled stem
-        // is plan-invariant and memoized on the plan (see `prepare_reuse`).
-        let exec = plan
-            .stem_exec
-            .get_or_init(|| {
-                build_stem_exec(plan, cache, &seeds[0], &overrides_batch[0]).map(Arc::new)
-            })
-            .as_ref()
-            .map_err(Clone::clone)?;
-        Some(Arc::clone(exec))
-    } else {
-        None
-    };
-    Ok(BatchReuseState {
-        seeds,
-        stem_exec,
-        branch_flops_total: cache.cold_flops,
-        branch_flops: if built_here { cache.flops } else { 0 },
-        branch_contractions: if built_here { cache.contractions } else { 0 },
-        frontier_flops,
-        frontier_contractions,
-        params_rebound: if built_here { cache.params_rebound } else { 0 },
-        entries_invalidated: if built_here { cache.entries_invalidated } else { 0 },
-        survived_flops: if built_here { cache.survived_flops } else { 0 },
-        branch_gemm: if built_here { cache.gemm } else { GemmTally::default() },
-        frontier_gemm,
-    })
-}
-
 /// Execute the StemPure prefix of one slice assignment on the worker's
 /// buffer pool: pure leaves are gathered into pooled buffers, pure
 /// contractions replay through their kernels, and buffers consumed by a
@@ -1880,88 +2144,42 @@ fn prepare_reuse_batch(
 fn run_pure_prefix_pooled(
     plan: &SimulationPlan,
     exec: &StemExec,
+    frontier: &Frontier,
     assignment: usize,
     ws: &mut StemWorkspace,
     gemm: &mut GemmTally,
 ) -> Result<u64, Error> {
     let cache = cache_of(plan)?;
-    let no_seeds = HashMap::new();
-    let StemWorkspace { pool, counters, slots, fix_buf, .. } = ws;
     let mut flops = 0u64;
-
     // StemPure leaves carry a sliced edge but are never overridable, so
     // they always read the plan's own leaf data.
-    for leaf in exec.leaves.iter().filter(|l| !l.mixed) {
-        let src = &plan.build.nodes[leaf.vertex].data;
-        fix_buf.clear();
-        fix_buf.extend(
-            leaf.fixes.iter().map(|&(axis, bit_pos)| (axis, ((assignment >> bit_pos) & 1) as u8)),
-        );
-        let mut buf = pool.acquire(leaf.len, counters);
-        src.slice_into(fix_buf, &mut buf);
-        slots[leaf.node] = Some(buf);
+    for leaf in exec.leaves.iter().filter(|l| l.ordinal.is_none()) {
+        ws.load_leaf(leaf, &plan.build.nodes[leaf.vertex].data, assignment);
     }
-
+    // A StemPure contraction's operands are StemPure (owned by the slot
+    // table and consumed here — a pure node consumed by a *mixed* step
+    // never shows up as a pure-step operand) or Branch (borrowed from the
+    // plan cache).
     for step in exec.steps.iter().filter(|s| !s.mixed) {
-        fault_contraction_tick();
-        // A StemPure contraction's operands are StemPure (owned by the slot
-        // table and consumed here — a pure node consumed by a *mixed* step
-        // never shows up as a pure-step operand) or Branch (borrowed from
-        // the plan cache).
-        let left_owned = slots[step.left].take();
-        let right_owned = slots[step.right].take();
-        let left = stem_operand_data(&left_owned, &no_seeds, cache, step.left)?;
-        let right = stem_operand_data(&right_owned, &no_seeds, cache, step.right)?;
-        let mut left_scratch = pool.acquire(left.len(), counters);
-        let mut right_scratch = pool.acquire(right.len(), counters);
-        let mut out = pool.acquire(step.kernel.output().len(), counters);
-        step.kernel.contract_into(left, right, &mut left_scratch, &mut right_scratch, &mut out);
+        replay_consuming(exec, cache, frontier, step, ws, gemm)?;
         flops += step.kernel.flops();
-        gemm.record_kernel(&step.kernel);
-        pool.release(left_scratch, counters);
-        pool.release(right_scratch, counters);
-        if let Some(buf) = left_owned {
-            pool.release(buf, counters);
-        }
-        if let Some(buf) = right_owned {
-            pool.release(buf, counters);
-        }
-        slots[step.out] = Some(out);
     }
     Ok(flops)
 }
 
-/// Data slice of a keyed-suffix operand: a held buffer in the slot table
-/// (a StemPure keep or a mixed node's held buffer — mixed children were
-/// refreshed earlier in the same pass, children precede parents) or a
-/// borrowed cache tensor (frontier seed / branch cache).
-fn mixed_operand_data<'a>(
-    slots: &'a [Option<Vec<Complex64>>],
-    seeds: &'a HashMap<usize, DenseTensor<Complex64>>,
-    cache: &'a BranchCache,
-    id: usize,
-) -> Result<&'a [Complex64], Error> {
-    if let Some(buf) = slots[id].as_deref() {
-        return Ok(buf);
-    }
-    cached_tensor(seeds, cache, id)
-        .map(DenseTensor::data)
-        .ok_or_else(|| Error::Internal(format!("operand {id} missing from slots and caches")))
-}
-
 /// Execute one bitstring's StemMixed suffix of one slice assignment on the
 /// worker's buffer pool, *keyed*: the caller acquired every mixed node's
-/// buffer up front and `cached` records the dependent-bits key each buffer
-/// currently holds. A node whose key matches this bitstring's is skipped
-/// outright; a changed key recomputes the buffer **in place** (the
-/// contraction kernel overwrites its output, and leaves re-gather with
-/// `slice_into`), so held buffers never cycle through the pool and only
-/// the per-step TTGT scratch is transient. Because a node's dependency
-/// mask contains its children's masks, a matching output key guarantees
-/// both operands hold exactly the values a per-bitstring replay would
-/// produce — skipping is bit-exact reuse, never approximation. StemPure
-/// keeps are borrowed from the slot table; frontier seeds and branch-cache
-/// tensors are borrowed as in the single-execution replay.
+/// buffer up front and `cached` records the key id each buffer currently
+/// holds. A node whose key matches this bitstring's is skipped outright; a
+/// changed key recomputes the buffer **in place** (the contraction kernel
+/// overwrites its output, and leaves re-gather with `slice_into` from the
+/// projector table), so held buffers never cycle through the pool and only
+/// the per-step TTGT scratch is transient. Because a node's dependency mask
+/// contains its children's masks, a matching output key guarantees both
+/// operands hold exactly the values a per-bitstring replay would produce —
+/// skipping is bit-exact reuse, never approximation. StemPure keeps are
+/// borrowed from the slot table; frontier values and branch-cache tensors
+/// are read where they live.
 ///
 /// Returns `(executed flops, executed contractions, skipped flops)`. The
 /// root's value stays in the slot table for the caller to merge.
@@ -1969,41 +2187,37 @@ fn mixed_operand_data<'a>(
 fn run_mixed_suffix_keyed_pooled(
     plan: &SimulationPlan,
     exec: &StemExec,
-    key_ids: &[Option<Vec<u32>>],
-    cached: &mut [Option<u32>],
-    seeds: &HashMap<usize, DenseTensor<Complex64>>,
-    overrides: &LeafOverrides,
+    frontier: &Frontier,
+    cached: &mut [u32],
     bitstring: usize,
     assignment: usize,
     ws: &mut StemWorkspace,
     gemm: &mut GemmTally,
 ) -> Result<(u64, u64, u64), Error> {
     let cache = cache_of(plan)?;
+    let keys = &frontier.keys;
     let StemWorkspace { pool, counters, slots, fix_buf, .. } = ws;
     let mut flops = 0u64;
     let mut executed = 0u64;
     let mut skipped_flops = 0u64;
 
-    for leaf in exec.leaves.iter().filter(|l| l.mixed) {
-        let kid = key_ids[leaf.node].as_ref().expect("mixed leaf key table")[bitstring];
-        if cached[leaf.node] == Some(kid) {
+    for leaf in &exec.leaves {
+        let Some(ordinal) = leaf.ordinal else { continue };
+        let kid = keys.id(leaf.node, bitstring);
+        if cached[leaf.node] == kid {
             continue;
         }
-        let src = overrides.get(&leaf.vertex).unwrap_or(&plan.build.nodes[leaf.vertex].data);
-        fix_buf.clear();
-        fix_buf.extend(
-            leaf.fixes.iter().map(|&(axis, bit_pos)| (axis, ((assignment >> bit_pos) & 1) as u8)),
-        );
+        let bit = keys.parts(leaf.node)[kid as usize].0 as usize;
         let buf = slots[leaf.node]
             .as_mut()
             .ok_or_else(|| Error::Internal(format!("mixed leaf buffer {} not held", leaf.node)))?;
-        src.slice_into(fix_buf, buf);
-        cached[leaf.node] = Some(kid);
+        StemWorkspace::gather(fix_buf, leaf, &exec.projectors[ordinal][bit], assignment, buf);
+        cached[leaf.node] = kid;
     }
 
     for step in exec.steps.iter().filter(|s| s.mixed) {
-        let kid = key_ids[step.out].as_ref().expect("mixed step key table")[bitstring];
-        if cached[step.out] == Some(kid) {
+        let kid = keys.id(step.out, bitstring);
+        if cached[step.out] == kid {
             skipped_flops += step.kernel.flops();
             continue;
         }
@@ -2011,169 +2225,22 @@ fn run_mixed_suffix_keyed_pooled(
         let mut out = slots[step.out]
             .take()
             .ok_or_else(|| Error::Internal(format!("mixed output buffer {} not held", step.out)))?;
-        let left = mixed_operand_data(slots, seeds, cache, step.left)?;
-        let right = mixed_operand_data(slots, seeds, cache, step.right)?;
+        let operand = |src: Operand, id: usize| match (src, slots[id].as_deref()) {
+            (Operand::Slot, Some(buf)) => Ok(buf),
+            _ => cached_operand(exec, cache, frontier, src, id, bitstring),
+        };
+        let left = operand(step.left_src, step.left)?;
+        let right = operand(step.right_src, step.right)?;
         let mut left_scratch = pool.acquire(left.len(), counters);
         let mut right_scratch = pool.acquire(right.len(), counters);
         step.kernel.contract_into(left, right, &mut left_scratch, &mut right_scratch, &mut out);
         flops += step.kernel.flops();
         executed += 1;
-        gemm.record_kernel(&step.kernel);
+        gemm.record_kernel(&step.kernel, 1);
         pool.release(left_scratch, counters);
         pool.release(right_scratch, counters);
         slots[step.out] = Some(out);
-        cached[step.out] = Some(kid);
-    }
-    Ok((flops, executed, skipped_flops))
-}
-
-/// The slot table an unpooled StemPure prefix leaves behind: the StemPure
-/// keep set (plus the root when the whole stem is pure), by tree-node id.
-type PureSlots = Vec<Option<DenseTensor<Complex64>>>;
-
-/// Unpooled StemPure prefix: materialise the pure leaves for one slice
-/// assignment and replay the pure schedule with plain allocations. Returns
-/// the slot table (whose remaining entries are the StemPure keep set, plus
-/// the root when the whole stem is pure) and the pure flop count.
-fn run_pure_prefix(
-    plan: &SimulationPlan,
-    sliced: &[IndexId],
-    assignment: usize,
-    gemm: &mut GemmTally,
-) -> Result<(PureSlots, u64), Error> {
-    let cls = &plan.classification;
-    let cache = cache_of(plan)?;
-    let no_seeds = HashMap::new();
-    let no_overrides = LeafOverrides::new();
-    let num_nodes = plan.tree.nodes().len();
-    let mut slots: Vec<Option<DenseTensor<Complex64>>> = vec![None; num_nodes];
-    let mut flops = 0u64;
-
-    for (node_id, node) in plan.tree.nodes().iter().enumerate() {
-        if cls.class(node_id) != NodeClass::StemPure {
-            continue;
-        }
-        if let Some(vertex) = node.leaf_vertex {
-            slots[node_id] =
-                Some(sliced_leaf_tensor(plan, &no_overrides, sliced, assignment, vertex));
-        }
-    }
-
-    for &(l, r, out) in cls.stem_pure_schedule() {
-        let a = stem_operand(&mut slots, &no_seeds, cache, l)?;
-        let b = stem_operand(&mut slots, &no_seeds, cache, r)?;
-        let spec = ContractionSpec::new(a.indices(), b.indices());
-        flops += spec.flops();
-        gemm.record_spec(&spec);
-        slots[out] = Some(contract_pair(&a, &b));
-    }
-    Ok((slots, flops))
-}
-
-/// Per-worker state of the unpooled keyed StemMixed suffix: the current
-/// tensor, most-recent dependent-bits key and production cost of every
-/// mixed node, persisted across the bitstring loop of one subtask (the key
-/// cache is invalidated per subtask, so every subtask recomputes its first
-/// bitstring from scratch just like the pooled path).
-struct KeyedMixedSlots {
-    tensors: Vec<Option<DenseTensor<Complex64>>>,
-    cached: Vec<Option<u32>>,
-    /// Flop cost of each mixed node's most recent contraction, charged to
-    /// `stem_mixed_flops_reused` when a later bitstring skips the node.
-    /// Contraction specs are shape-only, so the cost is bitstring-invariant.
-    last_flops: Vec<u64>,
-}
-
-impl KeyedMixedSlots {
-    fn new(num_nodes: usize) -> Self {
-        KeyedMixedSlots {
-            tensors: vec![None; num_nodes],
-            cached: vec![None; num_nodes],
-            last_flops: vec![0; num_nodes],
-        }
-    }
-}
-
-/// Fetch a keyed StemMixed-replay operand, borrowed: a mixed node's current
-/// tensor (children are refreshed before parents within a pass), a StemPure
-/// keep from this subtask's `pure_slots`, or a slice-invariant tensor from
-/// the frontier seeds / branch cache.
-fn keyed_operand<'a>(
-    mixed: &'a [Option<DenseTensor<Complex64>>],
-    pure_slots: &'a [Option<DenseTensor<Complex64>>],
-    seeds: &'a HashMap<usize, DenseTensor<Complex64>>,
-    cache: &'a BranchCache,
-    id: usize,
-) -> Result<&'a DenseTensor<Complex64>, Error> {
-    if let Some(t) = mixed[id].as_ref() {
-        return Ok(t);
-    }
-    if let Some(t) = pure_slots[id].as_ref() {
-        return Ok(t);
-    }
-    cached_tensor(seeds, cache, id)
-        .ok_or_else(|| Error::Internal(format!("operand {id} missing from slots and caches")))
-}
-
-/// Unpooled keyed StemMixed suffix for one bitstring of one slice
-/// assignment: mixed leaves re-slice and mixed contractions replay **only
-/// when the node's dependent-bits key differs from the one its tensor
-/// already holds** — bitstrings arrive sorted by key (see
-/// [`build_mixed_dedup`]), so each node recomputes once per distinct key it
-/// sees. Slice-invariant or batch-shared operands are borrowed (frontier
-/// seeds, branch cache, and the pure keep set produced by
-/// [`run_pure_prefix`]). Returns `(executed flops, executed contractions,
-/// skipped flops)`; the root tensor stays in `state` for the caller to
-/// merge.
-#[allow(clippy::too_many_arguments)]
-fn run_mixed_suffix_keyed(
-    plan: &SimulationPlan,
-    pure_slots: &[Option<DenseTensor<Complex64>>],
-    key_ids: &[Option<Vec<u32>>],
-    state: &mut KeyedMixedSlots,
-    seeds: &HashMap<usize, DenseTensor<Complex64>>,
-    overrides: &LeafOverrides,
-    sliced: &[IndexId],
-    assignment: usize,
-    bitstring: usize,
-    gemm: &mut GemmTally,
-) -> Result<(u64, u64, u64), Error> {
-    let cls = &plan.classification;
-    let cache = cache_of(plan)?;
-    let mut flops = 0u64;
-    let mut executed = 0u64;
-    let mut skipped_flops = 0u64;
-
-    for (node_id, node) in plan.tree.nodes().iter().enumerate() {
-        if cls.class(node_id) != NodeClass::StemMixed {
-            continue;
-        }
-        if let Some(vertex) = node.leaf_vertex {
-            let kid = key_ids[node_id].as_ref().expect("mixed leaf key table")[bitstring];
-            if state.cached[node_id] != Some(kid) {
-                state.tensors[node_id] =
-                    Some(sliced_leaf_tensor(plan, overrides, sliced, assignment, vertex));
-                state.cached[node_id] = Some(kid);
-            }
-        }
-    }
-
-    for &(l, r, out) in cls.stem_mixed_schedule() {
-        let kid = key_ids[out].as_ref().expect("mixed step key table")[bitstring];
-        if state.cached[out] == Some(kid) {
-            skipped_flops += state.last_flops[out];
-            continue;
-        }
-        let a = keyed_operand(&state.tensors, pure_slots, seeds, cache, l)?;
-        let b = keyed_operand(&state.tensors, pure_slots, seeds, cache, r)?;
-        let spec = ContractionSpec::new(a.indices(), b.indices());
-        flops += spec.flops();
-        executed += 1;
-        gemm.record_spec(&spec);
-        let result = contract_pair(a, b);
-        state.last_flops[out] = spec.flops();
-        state.tensors[out] = Some(result);
-        state.cached[out] = Some(kid);
+        cached[step.out] = kid;
     }
     Ok((flops, executed, skipped_flops))
 }
@@ -2181,17 +2248,20 @@ fn run_mixed_suffix_keyed(
 /// Execute one plan for a whole batch of output bitstrings, amortizing the
 /// slice-dependent StemPure prefix across the batch.
 ///
-/// Each bitstring is rebound onto the plan's output projectors (see
-/// [`qtn_circuit::NetworkBuild::rebind_output`]). With reuse enabled, every
-/// slice assignment contracts its StemPure prefix **once** and replays only
-/// the per-bitstring StemMixed suffix, and the per-bitstring frontiers are
-/// built with cross-bitstring subtree deduplication — instead of the full
-/// stem plus a fresh frontier once per bitstring. Results are
+/// Bitstrings are validated like [`qtn_circuit::NetworkBuild::rebind_output`]
+/// does, but no per-bitstring override is built: projector leaves read the
+/// compiled projector table by each bitstring's bit. With reuse enabled,
+/// every slice assignment contracts its StemPure prefix **once** and
+/// replays the StemMixed suffix once per distinct key, and the frontier is
+/// contracted once per distinct key of each frontier node — instead of the
+/// full stem plus a fresh frontier once per bitstring. Results are
 /// **bit-identical** to a loop of single [`execute_on_pool`] calls with the
 /// same configuration — per bitstring the same pairwise contractions
 /// produce every tensor and the partials reduce in the same worker order;
-/// batching only changes how often shared work is computed. With reuse
-/// disabled the call falls back to exactly that loop of single executions.
+/// batching only changes how often shared work is computed. The batched
+/// sweep always runs pooled (bit-identical to the unpooled replay). With
+/// reuse disabled the call falls back to exactly that loop of single
+/// executions.
 ///
 /// The returned tensors are index-aligned with `bitstrings`; the
 /// [`ExecutionStats`] cover the whole batch, with
@@ -2204,6 +2274,7 @@ pub fn execute_amplitudes_on_pool(
     bitstrings: &[&[u8]],
     config: &ExecutorConfig,
 ) -> Result<(Vec<DenseTensor<Complex64>>, ExecutionStats), Error> {
+    let start = Instant::now();
     let batch = bitstrings.len();
     if batch == 0 {
         return Ok((
@@ -2215,61 +2286,37 @@ pub fn execute_amplitudes_on_pool(
             },
         ));
     }
-
-    let bits_vec: Vec<Vec<u8>> = bitstrings.iter().map(|b| b.to_vec()).collect();
-    let mut overrides_batch = Vec::with_capacity(batch);
-    for bits in &bits_vec {
-        let overrides: LeafOverrides = plan.build.rebind_output(bits)?.into_iter().collect();
-        overrides_batch.push(Arc::new(overrides));
+    for bits in bitstrings {
+        plan.build.validate_bits(bits)?;
     }
     // A batch of one has nothing to amortize: delegate to the single-execute
-    // path and skip the batch bookkeeping (seed maps, dedup tables, partial
-    // accumulators) entirely. Identical results by construction — the batched
-    // path is defined as bit-identical to this very loop of singles.
+    // path and skip the batch bookkeeping (key tables, dedup order, partial
+    // accumulators) entirely. Identical results by construction — the
+    // batched path is defined as bit-identical to this very loop of singles.
     if batch == 1 {
-        let (result, mut stats) = execute_on_pool(pool, plan, &overrides_batch[0], config)?;
-        stats.amplitudes_in_batch = 1;
+        let overrides: LeafOverrides =
+            plan.build.rebind_output(bitstrings[0])?.into_iter().collect();
+        let rebind_seconds = start.elapsed().as_secs_f64();
+        let (result, mut stats) = execute_on_pool(pool, plan, &Arc::new(overrides), config)?;
+        stats.prepare_seconds += rebind_seconds;
+        stats.wall_seconds = start.elapsed().as_secs_f64();
         return Ok((vec![result], stats));
     }
     if !config.reuse {
-        return execute_amplitudes_sequentially(pool, plan, &overrides_batch, config);
+        return execute_amplitudes_sequentially(pool, plan, bitstrings, config, start);
     }
 
-    let open = plan.network.open_indices();
-    let sliced = plan.slicing.sliced.clone();
-    let sliced_open: Vec<IndexId> = sliced.iter().copied().filter(|e| open.contains(e)).collect();
-    let total_subtasks = 1usize << sliced.len();
-    let run_subtasks = if config.max_subtasks == 0 {
-        total_subtasks
-    } else {
-        config.max_subtasks.min(total_subtasks)
-    };
-    let workers = config.workers.max(1).min(run_subtasks.max(1));
-    let output_indices: IndexSet = {
-        let mut root = plan.tree.node(plan.tree.root()).indices.clone();
-        root.sort_unstable();
-        root.into_iter().collect()
-    };
-
-    let start = Instant::now();
-    let pooled = config.pool;
-    let state = prepare_reuse_batch(plan, &bits_vec, &overrides_batch, pooled)?;
-    let sweep_start = Instant::now();
-
-    let seeds_all = Arc::new(state.seeds);
-    let overrides_all: Arc<Vec<Arc<LeafOverrides>>> = Arc::new(overrides_batch);
-    let stem_exec_shared = state.stem_exec.as_ref().filter(|e| e.root_is_stem).map(Arc::clone);
+    let shape = SweepShape::of(plan, config);
+    let SweepShape { run_subtasks, workers, .. } = shape;
+    let state = prepare_reuse(plan, LeafInput::Bitstrings(bitstrings))?;
     let root_is_mixed = plan.classification.root_class() == NodeClass::StemMixed;
-    let dedup = Arc::new(if root_is_mixed {
-        build_mixed_dedup(plan, &bits_vec)
+    let order = Arc::new(if root_is_mixed {
+        mixed_dedup_order(&state.frontier.keys, &state.exec.mixed_priority)
     } else {
-        MixedDedup {
-            order: (0..batch).collect(),
-            key_ids: Vec::new(),
-            distinct_contraction_keys: 0,
-        }
+        (0..batch).collect()
     });
     let mixed_sched_len = plan.classification.stem_mixed_schedule().len() as u64;
+    let sweep_start = Instant::now();
 
     type BatchOutcome =
         (Vec<DenseTensor<Complex64>>, u64, u64, MixedTally, GemmTally, PoolCounters);
@@ -2277,235 +2324,124 @@ pub fn execute_amplitudes_on_pool(
     for worker in 0..workers {
         let tx = tx.clone();
         let plan = Arc::clone(plan);
-        let seeds_all = Arc::clone(&seeds_all);
-        let overrides_all = Arc::clone(&overrides_all);
-        let stem_exec = stem_exec_shared.as_ref().map(Arc::clone);
-        let dedup = Arc::clone(&dedup);
-        let sliced = sliced.clone();
-        let sliced_open = sliced_open.clone();
-        let output_indices = output_indices.clone();
+        let exec = Arc::clone(&state.exec);
+        let frontier = Arc::clone(&state.frontier);
+        let order = Arc::clone(&order);
+        let sliced = shape.sliced.clone();
+        let sliced_open = shape.sliced_open.clone();
+        let output_indices = shape.output_indices.clone();
         pool.submit(Box::new(move || {
-            let mut ws = stem_exec.as_ref().map(|_| {
-                StemWorkspace::new(plan.tree.nodes().len(), plan.stem_pools.checkout(worker))
-            });
+            let num_nodes = plan.tree.nodes().len();
+            let mut ws = exec
+                .root_is_stem
+                .then(|| StemWorkspace::new(num_nodes, plan.stem_pools.checkout(worker)));
             // Same panic containment as the single-amplitude sweep: a
             // panicking batched subtask becomes a typed `ExecutionPanic`
             // and the held buffers still drain back to the pool below.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let num_nodes = plan.tree.nodes().len();
                 let mut partials: Vec<DenseTensor<Complex64>> =
                     (0..batch).map(|_| DenseTensor::zeros(output_indices.clone())).collect();
                 let mut flops = 0u64;
                 let mut pure_flops = 0u64;
                 let mut mixed = MixedTally::default();
                 let mut gemm = GemmTally::default();
-                // Most-recent-key cache of the pooled keyed suffix,
-                // invalidated per subtask (the first bitstring of every
-                // subtask replays the full suffix, touching the peak).
-                let mut cached_keys: Vec<Option<u32>> = vec![None; num_nodes];
-                // Unpooled keyed suffix state, likewise reset per subtask.
-                let mut keyed_state = KeyedMixedSlots::new(num_nodes);
+                // Most-recent-key cache of the keyed suffix, invalidated
+                // per subtask (the first bitstring of every subtask replays
+                // the full suffix, touching the peak).
+                let mut cached_keys: Vec<u32> = vec![NONE; num_nodes];
                 let root = plan.tree.root();
                 // Static striding over slice assignments, exactly like the
                 // single path: worker w owns subtasks w, w+W, w+2W, …
                 let mut assignment = worker;
                 while assignment < run_subtasks {
-                    match &stem_exec {
-                        // Pooled batched subtask: pure prefix once, then the
-                        // keyed mixed suffix over the batch in dedup order.
-                        Some(exec) => {
-                            let ws = ws.as_mut().expect("workspace exists with stem_exec");
-                            let p = run_pure_prefix_pooled(&plan, exec, assignment, ws, &mut gemm)?;
-                            flops += p;
-                            pure_flops += p;
-                            if root_is_mixed {
-                                // Acquire every mixed node's buffer up front
-                                // (leaves, then step outputs — the lifetime
-                                // simulation's exact sequence) and hold them
-                                // across the whole bitstring loop: keyed
-                                // recomputes overwrite in place, so the live
-                                // set is constant and the first bitstring
-                                // deterministically hits the predicted peak
-                                // whatever keys the batch contains.
-                                for leaf in exec.leaves.iter().filter(|l| l.mixed) {
-                                    ws.slots[leaf.node] =
-                                        Some(ws.pool.acquire(leaf.len, &mut ws.counters));
-                                }
-                                for step in exec.steps.iter().filter(|s| s.mixed) {
-                                    ws.slots[step.out] = Some(
-                                        ws.pool
-                                            .acquire(step.kernel.output().len(), &mut ws.counters),
-                                    );
-                                }
-                                cached_keys.fill(None);
-                                for &b in dedup.order.iter() {
-                                    let (m, executed, skipped) = run_mixed_suffix_keyed_pooled(
-                                        &plan,
-                                        exec,
-                                        &dedup.key_ids,
-                                        &mut cached_keys,
-                                        &seeds_all[b],
-                                        &overrides_all[b],
-                                        b,
-                                        assignment,
-                                        ws,
-                                        &mut gemm,
-                                    )?;
-                                    flops += m;
-                                    mixed.flops += m;
-                                    mixed.contractions += executed;
-                                    mixed.skipped_flops += skipped;
-                                    mixed.skipped_contractions += mixed_sched_len - executed;
-                                    // Merge this bitstring's root: borrow the
-                                    // held buffer as a tensor, then put it
-                                    // back for the next bitstring to reuse.
-                                    let buf = ws.slots[root].take().ok_or_else(|| {
-                                        Error::Internal(
-                                            "root tensor missing after mixed suffix".into(),
-                                        )
-                                    })?;
-                                    let indices = match ws.root_indices.take() {
-                                        Some(indices) => indices,
-                                        None => {
-                                            exec.node_indices[root].clone().ok_or_else(|| {
-                                                Error::Internal(
-                                                    "root index set missing from stem compile"
-                                                        .into(),
-                                                )
-                                            })?
-                                        }
-                                    };
-                                    let result = DenseTensor::from_data(indices, buf);
-                                    merge_subtask(
-                                        &mut partials[b],
-                                        &result,
-                                        &sliced_open,
-                                        &sliced,
-                                        assignment,
-                                    );
-                                    let (indices, buf) = result.into_parts();
-                                    ws.slots[root] = Some(buf);
-                                    ws.root_indices = Some(indices);
-                                }
-                            } else {
-                                // The whole stem is StemPure: the prefix
-                                // root *is* every bitstring's subtask
-                                // result.
-                                let buf = ws.slots[root].take().ok_or_else(|| {
-                                    Error::Internal("root missing after pure prefix".into())
-                                })?;
-                                let indices = match ws.root_indices.take() {
-                                    Some(indices) => indices,
-                                    None => exec.node_indices[root].clone().ok_or_else(|| {
-                                        Error::Internal("root index set missing".into())
-                                    })?,
-                                };
-                                let result = DenseTensor::from_data(indices, buf);
-                                for partial in partials.iter_mut() {
-                                    merge_subtask(
-                                        partial,
-                                        &result,
-                                        &sliced_open,
-                                        &sliced,
-                                        assignment,
-                                    );
-                                }
-                                let (indices, buf) = result.into_parts();
-                                ws.pool.release(buf, &mut ws.counters);
-                                ws.root_indices = Some(indices);
-                            }
-                            // The batch is done with this subtask: the held
-                            // StemPure keep set goes back to the pool.
-                            for slot in ws.slots.iter_mut() {
-                                if let Some(buf) = slot.take() {
-                                    ws.pool.release(buf, &mut ws.counters);
-                                }
-                            }
-                        }
-                        // Unpooled (or slice-invariant) batched subtask.
-                        None if plan.classification.root_class().is_stem() => {
-                            let (pure_slots, p) =
-                                run_pure_prefix(&plan, &sliced, assignment, &mut gemm)?;
-                            flops += p;
-                            pure_flops += p;
-                            if root_is_mixed {
-                                keyed_state.cached.fill(None);
-                                for &b in dedup.order.iter() {
-                                    let (m, executed, skipped) = run_mixed_suffix_keyed(
-                                        &plan,
-                                        &pure_slots,
-                                        &dedup.key_ids,
-                                        &mut keyed_state,
-                                        &seeds_all[b],
-                                        &overrides_all[b],
-                                        &sliced,
-                                        assignment,
-                                        b,
-                                        &mut gemm,
-                                    )?;
-                                    flops += m;
-                                    mixed.flops += m;
-                                    mixed.contractions += executed;
-                                    mixed.skipped_flops += skipped;
-                                    mixed.skipped_contractions += mixed_sched_len - executed;
-                                    let result =
-                                        keyed_state.tensors[root].as_ref().ok_or_else(|| {
-                                            Error::Internal(
-                                                "root tensor missing after mixed suffix".into(),
-                                            )
-                                        })?;
-                                    merge_subtask(
-                                        &mut partials[b],
-                                        result,
-                                        &sliced_open,
-                                        &sliced,
-                                        assignment,
-                                    );
-                                }
-                            } else {
-                                let result = pure_slots[root].as_ref().ok_or_else(|| {
-                                    Error::Internal("root missing after pure prefix".into())
-                                })?;
-                                for partial in partials.iter_mut() {
-                                    merge_subtask(
-                                        partial,
-                                        result,
-                                        &sliced_open,
-                                        &sliced,
-                                        assignment,
-                                    );
-                                }
-                            }
-                        }
+                    let Some(ws) = ws.as_mut() else {
                         // No stem at all (unsliced plan): every bitstring's
-                        // result is its cached frontier root.
-                        None => {
-                            let cache = cache_of(&plan)?;
-                            for (b, partial) in partials.iter_mut().enumerate() {
-                                let result =
-                                    cached_tensor(&seeds_all[b], cache, root).ok_or_else(|| {
-                                        Error::Internal(
-                                            "slice-invariant root missing from caches".into(),
-                                        )
-                                    })?;
-                                merge_subtask(partial, result, &sliced_open, &sliced, assignment);
-                            }
+                        // result is its slice-invariant root.
+                        for (b, partial) in partials.iter_mut().enumerate() {
+                            let result = slice_invariant_root(&plan, &exec, &frontier, b)?;
+                            merge_subtask(partial, &result, &sliced_open, &sliced, assignment);
                         }
+                        assignment += workers;
+                        continue;
+                    };
+                    // Pure prefix once, then the keyed mixed suffix over
+                    // the batch in dedup order.
+                    let p =
+                        run_pure_prefix_pooled(&plan, &exec, &frontier, assignment, ws, &mut gemm)?;
+                    flops += p;
+                    pure_flops += p;
+                    if root_is_mixed {
+                        // Acquire every mixed node's buffer up front (leaves,
+                        // then step outputs — the lifetime simulation's exact
+                        // sequence) and hold them across the whole bitstring
+                        // loop: keyed recomputes overwrite in place, so the
+                        // live set is constant and the first bitstring
+                        // deterministically hits the predicted peak whatever
+                        // keys the batch contains.
+                        for leaf in exec.leaves.iter().filter(|l| l.ordinal.is_some()) {
+                            ws.slots[leaf.node] = Some(ws.pool.acquire(leaf.len, &mut ws.counters));
+                        }
+                        for step in exec.steps.iter().filter(|s| s.mixed) {
+                            let len = step.kernel.output().len();
+                            ws.slots[step.out] = Some(ws.pool.acquire(len, &mut ws.counters));
+                        }
+                        cached_keys.fill(NONE);
+                        for &b in order.iter() {
+                            let (m, executed, skipped) = run_mixed_suffix_keyed_pooled(
+                                &plan,
+                                &exec,
+                                &frontier,
+                                &mut cached_keys,
+                                b,
+                                assignment,
+                                ws,
+                                &mut gemm,
+                            )?;
+                            flops += m;
+                            mixed.flops += m;
+                            mixed.contractions += executed;
+                            mixed.skipped_flops += skipped;
+                            mixed.skipped_contractions += mixed_sched_len - executed;
+                            // Merge this bitstring's root: borrow the held
+                            // buffer as a tensor, then put it back for the
+                            // next bitstring to reuse.
+                            let result = ws.root_tensor(&exec, root)?;
+                            merge_subtask(
+                                &mut partials[b],
+                                &result,
+                                &sliced_open,
+                                &sliced,
+                                assignment,
+                            );
+                            let (indices, buf) = result.into_parts();
+                            ws.slots[root] = Some(buf);
+                            ws.root_indices = Some(indices);
+                        }
+                    } else {
+                        // The whole stem is StemPure: the prefix root *is*
+                        // every bitstring's subtask result.
+                        let result = ws.root_tensor(&exec, root)?;
+                        for partial in partials.iter_mut() {
+                            merge_subtask(partial, &result, &sliced_open, &sliced, assignment);
+                        }
+                        let (indices, buf) = result.into_parts();
+                        ws.pool.release(buf, &mut ws.counters);
+                        ws.root_indices = Some(indices);
                     }
+                    // The batch is done with this subtask: the held StemPure
+                    // keep set goes back to the pool.
+                    ws.release_slots();
                     assignment += workers;
                 }
                 Ok((partials, flops, pure_flops, mixed, gemm))
             }))
             .unwrap_or_else(|payload| Err(Error::from_panic(payload)));
+            drop(frontier);
             // Return the pool regardless of the outcome, draining any
             // buffers a failed replay left behind.
             let mut counters = PoolCounters::default();
             if let Some(mut ws) = ws {
-                for slot in ws.slots.iter_mut() {
-                    if let Some(buf) = slot.take() {
-                        ws.pool.release(buf, &mut ws.counters);
-                    }
-                }
+                ws.release_slots();
                 counters = ws.counters;
                 plan.stem_pools.checkin(worker, ws.pool);
             }
@@ -2553,7 +2489,6 @@ pub fn execute_amplitudes_on_pool(
         gemm_tally.add(&worker_gemm);
         pool_counters.merge(&worker_counters);
     }
-    let wall = start.elapsed().as_secs_f64();
     let sweep_wall = sweep_start.elapsed().as_secs_f64();
 
     // A loop of single executions would replay the StemPure prefix once per
@@ -2575,19 +2510,16 @@ pub fn execute_amplitudes_on_pool(
             8u64 << union
         })
         .sum();
-    let branch_flops_reused = state
-        .branch_flops_total
-        .saturating_add(frontier_flops_full)
-        .saturating_mul(batch as u64)
-        .saturating_mul(run_subtasks as u64)
-        .saturating_sub(state.frontier_flops)
-        .saturating_sub(state.branch_flops);
-    gemm_tally.add(&state.branch_gemm);
-    gemm_tally.add(&state.frontier_gemm);
+    let stem_mixed_distinct_keys = plan
+        .classification
+        .stem_mixed_schedule()
+        .iter()
+        .map(|&(_, _, out)| state.frontier.keys.distinct(out) as u64)
+        .sum();
     let mut stats = ExecutionStats {
         subtasks_run: run_subtasks,
-        subtasks_total: total_subtasks,
-        flops: stem_flops + state.frontier_flops + state.branch_flops,
+        subtasks_total: shape.total_subtasks,
+        flops: stem_flops,
         stem_flops,
         stem_pure_flops,
         stem_pure_flops_reused,
@@ -2597,50 +2529,52 @@ pub fn execute_amplitudes_on_pool(
         stem_mixed_flops_reused: mixed_tally.skipped_flops,
         stem_mixed_contractions: mixed_tally.contractions,
         stem_mixed_contractions_deduped: mixed_tally.skipped_contractions,
-        stem_mixed_distinct_keys: dedup.distinct_contraction_keys,
+        stem_mixed_distinct_keys,
         amplitudes_in_batch: batch as u64,
-        frontier_flops: state.frontier_flops,
-        branch_flops: state.branch_flops,
-        branch_flops_reused,
-        branch_contractions: state.branch_contractions,
-        frontier_contractions: state.frontier_contractions,
-        params_rebound: state.params_rebound,
-        branch_entries_invalidated: state.entries_invalidated,
-        branch_flops_survived_rebind: state.survived_flops,
         buffers_allocated: pool_counters.allocated,
         buffers_reused: pool_counters.reused,
         peak_bytes_in_flight: pool_counters.peak_in_flight_bytes,
         predicted_peak_bytes: plan.memory_plan.batched_stem.peak_bytes(),
-        wall_seconds: wall,
-        seconds_per_subtask: if run_subtasks > 0 {
-            sweep_wall * workers as f64 / run_subtasks as f64
-        } else {
-            0.0
-        },
+        prepare_seconds: (sweep_start - start).as_secs_f64(),
+        seconds_per_subtask: shape.seconds_per_subtask(sweep_wall),
         workers,
         ..ExecutionStats::default()
     };
+    state.account(&mut stats, &mut gemm_tally);
+    stats.branch_flops_reused = state
+        .branch_flops_total
+        .saturating_add(frontier_flops_full)
+        .saturating_mul(batch as u64)
+        .saturating_mul(run_subtasks as u64)
+        .saturating_sub(state.frontier.flops)
+        .saturating_sub(state.branch_flops);
+    state.finish();
     stats.apply_gemm(&gemm_tally);
     stats.simd_level = qtn_tensor::simd_level().as_str();
+    stats.wall_seconds = start.elapsed().as_secs_f64();
     Ok((results, stats))
 }
 
 /// The batched fallback: a plain loop of single executions, one per
 /// bitstring — what [`execute_amplitudes_on_pool`] degrades to when reuse
-/// is off or an override targets a non-projector leaf, and the baseline the
-/// batched path is bit-identical to.
+/// is off, and the baseline the batched path is bit-identical to. `start`
+/// is the batched call's entry, so the clocks cover the rebinds too.
 fn execute_amplitudes_sequentially(
     pool: &WorkerPool,
     plan: &Arc<SimulationPlan>,
-    overrides_batch: &[Arc<LeafOverrides>],
+    bitstrings: &[&[u8]],
     config: &ExecutorConfig,
+    start: Instant,
 ) -> Result<(Vec<DenseTensor<Complex64>>, ExecutionStats), Error> {
-    let start = Instant::now();
-    let mut results = Vec::with_capacity(overrides_batch.len());
+    let mut results = Vec::with_capacity(bitstrings.len());
     let mut stats = ExecutionStats::default();
-    for overrides in overrides_batch {
-        let (result, s) = execute_on_pool(pool, plan, overrides, config)?;
+    for bits in bitstrings {
+        let rebind_start = Instant::now();
+        let overrides: LeafOverrides = plan.build.rebind_output(bits)?.into_iter().collect();
+        let rebind_seconds = rebind_start.elapsed().as_secs_f64();
+        let (result, s) = execute_on_pool(pool, plan, &Arc::new(overrides), config)?;
         results.push(result);
+        stats.prepare_seconds += rebind_seconds + s.prepare_seconds;
         stats.subtasks_run += s.subtasks_run;
         stats.subtasks_total = s.subtasks_total;
         stats.flops += s.flops;
@@ -2672,7 +2606,7 @@ fn execute_amplitudes_sequentially(
         stats.predicted_peak_bytes = s.predicted_peak_bytes;
         stats.workers = stats.workers.max(s.workers);
     }
-    stats.amplitudes_in_batch = overrides_batch.len() as u64;
+    stats.amplitudes_in_batch = bitstrings.len() as u64;
     stats.wall_seconds = start.elapsed().as_secs_f64();
     stats.seconds_per_subtask = if stats.subtasks_run > 0 {
         stats.wall_seconds * stats.workers as f64 / stats.subtasks_run as f64
@@ -2746,28 +2680,30 @@ fn run_subtask(
 /// borrowed from the plan-lifetime `cache`.
 fn stem_operand<'a>(
     slots: &mut [Option<DenseTensor<Complex64>>],
-    seeds: &'a HashMap<usize, DenseTensor<Complex64>>,
+    seeds: &'a [Option<DenseTensor<Complex64>>],
     cache: &'a BranchCache,
     id: usize,
 ) -> Result<Cow<'a, DenseTensor<Complex64>>, Error> {
     if let Some(t) = slots[id].take() {
         return Ok(Cow::Owned(t));
     }
-    cached_tensor(seeds, cache, id)
+    seeds[id]
+        .as_ref()
+        .or_else(|| cache.tensor(id))
         .map(Cow::Borrowed)
         .ok_or_else(|| Error::Internal(format!("operand {id} missing from slots and caches")))
 }
 
-/// Execute one slice assignment replaying **only the stem**: Stem-class
-/// leaves are overridden and sliced to the assignment's values, Stem-class
-/// contractions are replayed in schedule order, and every slice-invariant
-/// operand is read from the per-execution frontier seeds or the
-/// plan-lifetime branch cache. Returns the subtask's root tensor and the
-/// flop count of the replayed contractions, split as
-/// `(root, total_flops, pure_flops)`.
+/// Execute one slice assignment replaying **only the stem**, allocating
+/// per contraction: Stem-class leaves are overridden and sliced to the
+/// assignment's values, Stem-class contractions are replayed in schedule
+/// order, and every slice-invariant operand is read from the execution's
+/// frontier `seeds` or the plan-lifetime branch cache. Returns the
+/// subtask's root tensor and the flop count of the replayed contractions,
+/// split as `(root, total_flops, pure_flops)`.
 fn run_subtask_stem(
     plan: &SimulationPlan,
-    seeds: &HashMap<usize, DenseTensor<Complex64>>,
+    seeds: &[Option<DenseTensor<Complex64>>],
     overrides: &LeafOverrides,
     sliced: &[IndexId],
     assignment: usize,
@@ -2777,17 +2713,6 @@ fn run_subtask_stem(
     let root = plan.tree.root();
     // `prepare_reuse` built the cache before any worker started.
     let cache = cache_of(plan)?;
-    if !cls.class(root).is_stem() {
-        // No contraction depends on the slice assignment (empty slicing
-        // set): the cached root tensor *is* the subtask result.
-        return seeds
-            .get(&root)
-            .or_else(|| cache.tensor(root))
-            .cloned()
-            .map(|t| (t, 0, 0))
-            .ok_or_else(|| Error::Internal("slice-invariant root missing from caches".into()));
-    }
-
     let num_nodes = plan.tree.nodes().len();
     let mut slots: Vec<Option<DenseTensor<Complex64>>> = vec![None; num_nodes];
     let mut flops = 0u64;
@@ -2805,7 +2730,7 @@ fn run_subtask_stem(
     }
 
     // Replay the stem schedule, seeding slice-invariant operands from the
-    // per-execution frontier seeds or the plan-lifetime branch cache.
+    // frontier seeds or the plan-lifetime branch cache.
     for &(l, r, out) in cls.stem_schedule() {
         fault_contraction_tick();
         let a = stem_operand(&mut slots, seeds, cache, l)?;
@@ -3529,58 +3454,84 @@ mod tests {
     }
 
     #[test]
-    fn dep_keys_pack_beyond_64_dependent_qubits() {
-        // 100 dependent ordinals: more than a u64 could hold, still one
-        // u128 — the path the old packed-u64 key used to bail out of with a
-        // per-bitstring fallback.
-        let ordinals: Vec<usize> = (0..100).collect();
-        let mut bits = vec![0u8; 100];
-        bits[0] = 1;
-        bits[70] = 1;
-        bits[99] = 1;
-        let key = pack_dep_key(&ordinals, &bits);
-        assert_eq!(key, DepKey::Packed(1 | (1u128 << 70) | (1u128 << 99)));
-        // Flipping a bit above position 64 changes the key.
-        bits[70] = 0;
-        assert_ne!(pack_dep_key(&ordinals, &bits), key);
+    fn pair_interning_numbers_keys_by_first_occurrence() {
+        // Pairs (1,0) (0,0) (1,0) (0,1) (2,0) (0,0): ids follow the first
+        // bitstring that presents each pair, whatever the bucket order.
+        let left = [1u32, 0, 1, 0, 2, 0];
+        let right = [0u32, 0, 0, 1, 0, 0];
+        let mut scratch = InternScratch::default();
+        scratch.intern(&left, 3, &right, 2);
+        assert_eq!(scratch.ids, [0, 1, 0, 2, 3, 1]);
+        assert_eq!(scratch.pairs, [(1, 0), (0, 0), (0, 1), (2, 0)]);
+        // A side with a single id keeps the other side's numbering.
+        scratch.intern(&[0, 0, 0], 1, &[0, 1, 0], 2);
+        assert_eq!(scratch.ids, [0, 1, 0]);
+        assert_eq!(scratch.pairs, [(0, 0), (0, 1)]);
+        // The scratch is reusable: a batch of one interns to id 0.
+        scratch.intern(&[0], 1, &[0], 1);
+        assert_eq!(scratch.ids, [0]);
+        assert_eq!(scratch.pairs, [(0, 0)]);
+    }
 
-        // Keys are *compact*: only the masked ordinals feed the key, so two
-        // bitstrings differing outside the mask are indistinguishable.
-        let sparse = [3usize, 71, 99];
-        let mut a = vec![0u8; 100];
-        let mut b = vec![1u8; 100];
-        for &o in &sparse {
-            a[o] = 1;
-            b[o] = 1;
-        }
-        assert_eq!(pack_dep_key(&sparse, &a), pack_dep_key(&sparse, &b));
-        assert_eq!(pack_dep_key(&sparse, &a), DepKey::Packed(0b111));
+    /// The branch cache and compiled program of a plan, built directly.
+    fn compiled(plan: &SimulationPlan) -> (BranchCache, StemExec) {
+        let cache = build_branch_cache(plan).unwrap();
+        let exec = build_stem_exec(plan, &cache, &LeafOverrides::new()).unwrap();
+        (cache, exec)
     }
 
     #[test]
-    fn dep_keys_spill_to_wide_words_past_128_ordinals() {
-        let ordinals: Vec<usize> = (0..200).collect();
-        let mut bits = vec![0u8; 200];
-        bits[5] = 1;
-        bits[140] = 1;
-        let key = pack_dep_key(&ordinals, &bits);
-        match &key {
-            DepKey::Wide(words) => {
-                assert_eq!(words.len(), 2);
-                assert_eq!(words[0], 1u128 << 5);
-                assert_eq!(words[1], 1u128 << (140 - 128));
+    fn key_ids_equal_first_occurrence_numbering_of_masked_bits() {
+        // Interning child pairs must reproduce, at every Frontier and
+        // StemMixed node, exactly the ids a first-occurrence numbering of
+        // the node's masked output bits gives — at any cone width, since
+        // no key is ever packed into a word.
+        let circuit = RqcConfig::small(3, 3, 8, 13).build();
+        let n = circuit.num_qubits();
+        let plan = plan_simulation(
+            &circuit,
+            &OutputSpec::Amplitude(vec![0; n]),
+            &PlannerConfig { target_rank: 7, ..Default::default() },
+        );
+        let (_, exec) = compiled(&plan);
+        let cls = &plan.classification;
+        let masks = cls.projector_masks();
+        let mut rng_state = 0x2545_f491_4f6c_dd1du64;
+        let mut next_bit = || {
+            rng_state ^= rng_state << 13;
+            rng_state ^= rng_state >> 7;
+            rng_state ^= rng_state << 17;
+            (rng_state & 1) as u8
+        };
+        let bits: Vec<Vec<u8>> = (0..40).map(|_| (0..n).map(|_| next_bit()).collect()).collect();
+        let keys = KeyTable::build(&exec, plan.tree.nodes().len(), bits.len(), |b, q| bits[b][q]);
+        let mut keyed = 0;
+        for node in 0..plan.tree.nodes().len() {
+            if !cls.class(node).depends_on_projector() {
+                assert_eq!(keys.distinct(node), 1, "node {node} depends on no output bit");
+                continue;
             }
-            DepKey::Packed(_) => panic!("200 ordinals must use the wide representation"),
+            keyed += 1;
+            let mut seen: Vec<Vec<u8>> = Vec::new();
+            for (b, bitstring) in bits.iter().enumerate() {
+                let key: Vec<u8> = masks
+                    .ordinals(node)
+                    .map(|o| bitstring[plan.build.projector_leaves[o].0])
+                    .collect();
+                let id = seen.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    seen.push(key);
+                    seen.len() - 1
+                });
+                assert_eq!(keys.id(node, b) as usize, id, "node {node}, bitstring {b}");
+            }
+            assert_eq!(keys.distinct(node), seen.len());
         }
-        // Hash/Eq line up across representations of the same width.
-        assert_eq!(key.clone(), pack_dep_key(&ordinals, &bits));
-        bits[199] = 1;
-        assert_ne!(pack_dep_key(&ordinals, &bits), key);
+        assert!(keyed > 0);
     }
 
     #[test]
     fn mixed_dedup_orders_the_batch_by_dependent_keys() {
-        // RQC plan with a StemMixed root: the dedup tables must cover every
+        // RQC plan with a StemMixed root: the key tables must cover every
         // mixed node, intern at most `batch` ids per node, and sort the
         // batch so equal full-dependency keys are adjacent.
         let circuit = RqcConfig::small(3, 3, 8, 13).build();
@@ -3593,20 +3544,21 @@ mod tests {
         assert!(!plan.classification.stem_mixed_schedule().is_empty());
         let bits: Vec<Vec<u8>> =
             (0..16).map(|k| (0..n).map(|q| ((k >> (q % 4)) & 1) as u8).collect()).collect();
-        let dedup = build_mixed_dedup(&plan, &bits);
-        let mut sorted = dedup.order.clone();
+        let (_, exec) = compiled(&plan);
+        let keys = KeyTable::build(&exec, plan.tree.nodes().len(), 16, |b, q| bits[b][q]);
+        let order = mixed_dedup_order(&keys, &exec.mixed_priority);
+        let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..16).collect::<Vec<_>>(), "order is a permutation of the batch");
         for &(_, _, out) in plan.classification.stem_mixed_schedule() {
-            let ids = dedup.key_ids[out].as_ref().expect("every mixed out gets a key table");
-            assert_eq!(ids.len(), 16);
-            // Sorted order keeps equal keys adjacent: each distinct id
-            // appears in exactly one contiguous run when masks are nested,
-            // and never more runs than distinct ids times fragmentation by
-            // wider masks — at minimum, the distinct count is consistent.
-            let distinct = ids.iter().collect::<std::collections::HashSet<_>>().len();
-            assert!(distinct as u64 <= 16);
+            let distinct = keys.distinct(out);
+            assert!((1..=16).contains(&distinct));
+            // Every id is in range, and the root's equal keys are adjacent
+            // in processing order.
+            assert!((0..16).all(|b| (keys.id(out, b) as usize) < distinct));
         }
-        assert!(dedup.distinct_contraction_keys > 0);
+        let root = plan.tree.root();
+        let runs = order.windows(2).filter(|w| keys.id(root, w[0]) != keys.id(root, w[1])).count();
+        assert_eq!(runs + 1, keys.distinct(root), "equal root keys form one run each");
     }
 }

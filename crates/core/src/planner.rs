@@ -106,9 +106,10 @@ pub struct SimulationPlan {
     /// through any clone), rather than deep-copying its tensors. Holds the
     /// build `Result` so a failed build is memoized rather than retried.
     pub(crate) branch_cache: Arc<OnceLock<Result<BranchCache, crate::error::Error>>>,
-    /// Lazily compiled pooled stem replay (contraction kernels + leaf
-    /// slicing recipes). Index-set-only, so it is plan-invariant under
-    /// shape-preserving output rebinding and, like the branch cache, built
+    /// Lazily compiled execution program: frontier and stem contraction
+    /// kernels, leaf slicing recipes, every operand's source and the
+    /// projector table. Index-set-only, so it is plan-invariant under
+    /// output and parameter rebinding and, like the branch cache, built
     /// once and shared by every execution and clone of the plan.
     pub(crate) stem_exec: Arc<OnceLock<Result<Arc<StemExec>, crate::error::Error>>>,
     /// Branch-cache entries surviving a parameter rebind, plus the rebind's

@@ -5,10 +5,14 @@
 //! exactly once per subtask regardless of batch size) and the batched
 //! lifetime phase predicts the pooled peak exactly.
 
-use qtnsim::circuit::{Gate, OutputSpec, RqcConfig};
-use qtnsim::{Circuit, Engine, ExecutorConfig, PlannerConfig};
+use qtnsim::circuit::{Gate, OutputSpec, ParamSlot, RqcConfig};
+use qtnsim::core::executor::execute_amplitudes_on_pool;
+use qtnsim::core::SimulationPlan;
+use qtnsim::{Circuit, Engine, Error, ExecutorConfig, PlannerConfig, WorkerPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A 12-qubit RQC whose plan slices 4 edges at target rank 8 (16 subtasks).
 fn sliced_circuit() -> Circuit {
@@ -347,6 +351,178 @@ fn each_distinct_subtask_key_contraction_runs_exactly_once_on_nested_cones() {
             assert!(
                 stats.stem_mixed_contractions_deduped > 0,
                 "64 random bitstrings over narrow nested cones must repeat keys"
+            );
+        }
+    }
+}
+
+/// Brute force: the number of distinct output-bit tuples the batch presents
+/// on `node`'s projector-dependency mask.
+fn distinct_masked_keys(plan: &SimulationPlan, node: usize, bitstrings: &[Vec<u8>]) -> u64 {
+    let qubits: Vec<usize> = plan
+        .classification
+        .projector_masks()
+        .ordinals(node)
+        .map(|o| plan.build.projector_leaves[o].0)
+        .collect();
+    let keys: HashSet<Vec<u8>> =
+        bitstrings.iter().map(|bits| qubits.iter().map(|&q| bits[q]).collect()).collect();
+    keys.len() as u64
+}
+
+#[test]
+fn dedup_counters_equal_brute_force_distinct_keys() {
+    let circuit = sliced_circuit();
+    let n = circuit.num_qubits();
+    let engine = Engine::with_configs(planner(), executor(true));
+    let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
+    let plan = compiled.plan();
+    let cls = &plan.classification;
+
+    // A random batch, a batch of 16 bitstrings each repeated four times
+    // (interleaved), and the smallest batch the batched path runs.
+    let random = random_bitstrings(n, 64, 99);
+    let base = random_bitstrings(n, 16, 100);
+    let repeated: Vec<Vec<u8>> = (0..64).map(|i| base[(i * 7) % 16].clone()).collect();
+    let pair = random_bitstrings(n, 2, 101);
+    for bitstrings in [random, repeated, pair] {
+        let batch: Vec<&[u8]> = bitstrings.iter().map(Vec::as_slice).collect();
+        let (_, report) = compiled.execute_amplitudes(&batch).unwrap();
+        let frontier: u64 = cls
+            .frontier_schedule()
+            .iter()
+            .map(|&(_, _, out)| distinct_masked_keys(plan, out, &bitstrings))
+            .sum();
+        let mixed: u64 = cls
+            .stem_mixed_schedule()
+            .iter()
+            .map(|&(_, _, out)| distinct_masked_keys(plan, out, &bitstrings))
+            .sum();
+        assert_eq!(
+            report.stats.frontier_contractions,
+            frontier,
+            "each frontier step runs once per distinct masked key (B={})",
+            bitstrings.len()
+        );
+        assert_eq!(
+            report.stats.stem_mixed_distinct_keys,
+            mixed,
+            "distinct StemMixed keys (B={})",
+            bitstrings.len()
+        );
+    }
+}
+
+#[test]
+fn identical_batch_builds_the_frontier_once_and_matches_a_single_execute() {
+    let circuit = sliced_circuit();
+    let n = circuit.num_qubits();
+    let engine = Engine::with_configs(planner(), executor(true));
+    let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
+    let bits = random_bitstrings(n, 1, 5).remove(0);
+    let batch: Vec<&[u8]> = vec![bits.as_slice(); 8];
+    let (amps, report) = compiled.execute_amplitudes(&batch).unwrap();
+    assert_eq!(
+        report.stats.frontier_contractions,
+        compiled.plan().classification.frontier_schedule().len() as u64,
+        "eight copies of one bitstring present one key everywhere"
+    );
+    let (single, _) = compiled.execute_amplitude(&bits).unwrap();
+    for amp in amps {
+        assert_eq!(amp, single, "every copy must equal the single execute bit for bit");
+    }
+}
+
+/// `circuit` with every slot set to its value in `angles`.
+fn circuit_at(circuit: &Circuit, slots: &[ParamSlot], angles: &[f64]) -> Circuit {
+    let mut out = Circuit::new(circuit.num_qubits());
+    for (i, op) in circuit.ops().iter().enumerate() {
+        let mut op = op.clone();
+        for (s, slot) in slots.iter().enumerate().filter(|(_, s)| s.op_index() == i) {
+            op.gate = op.gate.with_param(slot.param_index(), angles[s]).expect("slot maps a param");
+        }
+        out.push_op(op);
+    }
+    out
+}
+
+#[test]
+fn stacked_rebinds_match_a_fresh_compiles_loop_of_singles() {
+    let circuit = sliced_circuit();
+    let n = circuit.num_qubits();
+    let spec = OutputSpec::Amplitude(vec![0; n]);
+    let engine = Engine::with_configs(planner(), executor(true));
+    let mut compiled = engine.compile(&circuit, &spec).unwrap();
+    let bitstrings = random_bitstrings(n, 24, 77);
+    let batch: Vec<&[u8]> = bitstrings.iter().map(Vec::as_slice).collect();
+    compiled.execute_amplitudes(&batch).unwrap();
+
+    // Three rebinds stacked before the next execution.
+    let slots = compiled.param_slots().to_vec();
+    assert!(slots.len() >= 3);
+    let mut angles: Vec<f64> = slots.iter().map(ParamSlot::value).collect();
+    for (slot, angle) in [(0usize, 0.4), (slots.len() / 2, -1.3), (slots.len() - 1, 2.2)] {
+        compiled.rebind_parameters(&[(slot, angle)]).unwrap();
+        angles[slot] = angle;
+    }
+    let (amps, _) = compiled.execute_amplitudes(&batch).unwrap();
+
+    let fresh = Engine::with_configs(planner(), executor(true))
+        .compile(&circuit_at(&circuit, &slots, &angles), &spec)
+        .unwrap();
+    for (bits, amp) in bitstrings.iter().zip(amps.iter()) {
+        let (single, _) = fresh.execute_amplitude(bits).unwrap();
+        assert_eq!(*amp, single, "rebound batch must match a fresh compile for {bits:?}");
+    }
+}
+
+#[test]
+fn invalid_bit_deep_in_a_batch_is_a_typed_error() {
+    let circuit = sliced_circuit();
+    let n = circuit.num_qubits();
+    let engine = Engine::with_configs(planner(), executor(true));
+    let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
+    let plan = Arc::new(compiled.plan().clone());
+    let pool = WorkerPool::new(2);
+    let mut bitstrings = random_bitstrings(n, 64, 8);
+    bitstrings[39][5] = 2;
+    let batch: Vec<&[u8]> = bitstrings.iter().map(Vec::as_slice).collect();
+    let expected = Error::InvalidBit { qubit: 5, value: 2 };
+    assert_eq!(compiled.execute_amplitudes(&batch).unwrap_err(), expected);
+    // The executor entry point validates on its own, without the engine.
+    let direct = execute_amplitudes_on_pool(&pool, &plan, &batch, &executor(true));
+    assert_eq!(direct.unwrap_err(), expected);
+
+    bitstrings[39].truncate(n - 1);
+    let batch: Vec<&[u8]> = bitstrings.iter().map(Vec::as_slice).collect();
+    let direct = execute_amplitudes_on_pool(&pool, &plan, &batch, &executor(true));
+    assert_eq!(direct.unwrap_err(), Error::BitstringLength { expected: n, got: n - 1 });
+}
+
+#[test]
+fn execution_clocks_cover_the_front_end_and_the_sweep() {
+    let circuit = sliced_circuit();
+    let n = circuit.num_qubits();
+    let engine = Engine::with_configs(planner(), executor(true));
+    let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
+    let bitstrings = random_bitstrings(n, 64, 12);
+
+    let (_, single) = compiled.execute_amplitude(&bitstrings[0]).unwrap();
+    for batch_size in [1usize, 64] {
+        let batch: Vec<&[u8]> = bitstrings[..batch_size].iter().map(Vec::as_slice).collect();
+        let (_, report) = compiled.execute_amplitudes(&batch).unwrap();
+        for stats in [&single.stats, &report.stats] {
+            assert!(stats.prepare_seconds > 0.0, "the front end takes time (B={batch_size})");
+            assert!(stats.prepare_seconds <= stats.wall_seconds);
+            // The sweep clock starts at the first submit, the wall clock at
+            // entry: the call is at least its front end plus its sweep.
+            let sweep =
+                stats.seconds_per_subtask * stats.subtasks_run as f64 / stats.workers as f64;
+            assert!(
+                stats.wall_seconds + 1e-9 >= stats.prepare_seconds + sweep,
+                "wall {} < prepare {} + sweep {sweep} (B={batch_size})",
+                stats.wall_seconds,
+                stats.prepare_seconds
             );
         }
     }
