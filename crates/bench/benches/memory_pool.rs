@@ -1,13 +1,15 @@
-//! Pooled vs unpooled stem sweep: time, peak buffer bytes and allocations.
+//! Persistent vs per-call buffer pools: time, peak buffer bytes and
+//! allocations of the stem sweep.
 //!
-//! The lifetime-based buffer pool must never change what is computed (the
+//! Where the buffer pools live must never change what is computed (the
 //! integration tests assert bit-identity), so this bench measures what it
-//! *does* change: the allocation traffic of the hot per-subtask loop. For
-//! each slicing depth the pooled and unpooled executors sweep the same
+//! *does* change: the allocation traffic of an execution. For each slicing
+//! depth the pooled executor (pools persist on the plan) and the unpooled
+//! one (`pool: false`: every call sweeps on fresh pools) run the same
 //! compiled plan, and the pool counters of one execution are printed next
 //! to the plan-time prediction — `allocated` collapses to 0 in the pooled
-//! steady state while the unpooled path pays fresh buffers for every leaf,
-//! intermediate and permutation scratch of all `2^|S|` subtasks.
+//! steady state while every unpooled call pays the predicted slot count
+//! per worker again.
 //!
 //! One circuit (3x4 qubits, 10 cycles) is planned at three memory targets
 //! to sweep `|S| ∈ {2, 4, 6}` — i.e. 4, 16 and 64 subtasks per execution.

@@ -257,11 +257,16 @@ impl NetworkBuild {
         Ok(())
     }
 
-    /// Rewrite the projector leaves in place to target a new bitstring.
-    /// Alias of [`NetworkBuild::rebind_output_in_place`], kept for the
-    /// original rebind API surface.
-    pub fn apply_rebind(&mut self, bits: &[u8]) -> Result<(), RebindError> {
-        self.rebind_output_in_place(bits)
+    /// The output bitstring the projector leaves currently select, read off
+    /// their one-hot data: the bits a freshly built network was built for,
+    /// or the last [`NetworkBuild::rebind_output_in_place`]. Open
+    /// (non-projected) qubits read 0.
+    pub fn output_bits(&self) -> Vec<u8> {
+        let mut bits = vec![0; self.num_qubits];
+        for &(qubit, node) in &self.projector_leaves {
+            bits[qubit] = u8::from(self.nodes[node].data.data()[1] != Complex64::ZERO);
+        }
+        bits
     }
 
     /// Check an output bitstring the way [`NetworkBuild::rebind_output`]
@@ -622,10 +627,13 @@ mod tests {
         assert_eq!(build.projector_leaves.len(), 2);
         let h = 1.0 / 2f64.sqrt();
         // Rebinding |00> -> |11> must reproduce the freshly-built network.
-        build.apply_rebind(&[1, 1]).unwrap();
+        assert_eq!(build.output_bits(), [0, 0]);
+        build.rebind_output_in_place(&[1, 1]).unwrap();
+        assert_eq!(build.output_bits(), [1, 1]);
         let rebound = contract_network_naive(&build).scalar_value();
         assert!((rebound - c64(h, 0.0)).abs() < 1e-12);
-        build.apply_rebind(&[0, 1]).unwrap();
+        build.rebind_output_in_place(&[0, 1]).unwrap();
+        assert_eq!(build.output_bits(), [0, 1]);
         assert!(contract_network_naive(&build).scalar_value().abs() < 1e-12);
     }
 
@@ -636,8 +644,9 @@ mod tests {
         let mut build =
             circuit_to_network(&c, &OutputSpec::Open { fixed: vec![0, 0], open: vec![1] });
         assert_eq!(build.projector_leaves.len(), 1);
-        // Project qubit 0 onto |1>; qubit 1 stays open.
-        build.apply_rebind(&[1, 0]).unwrap();
+        // Project qubit 0 onto |1>; qubit 1 stays open (and reads 0).
+        build.rebind_output_in_place(&[1, 1]).unwrap();
+        assert_eq!(build.output_bits(), [1, 0]);
         let t = contract_network_naive(&build);
         let h = 1.0 / 2f64.sqrt();
         assert!(t.get(&[0]).abs() < 1e-12);

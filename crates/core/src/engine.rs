@@ -5,9 +5,10 @@
 //! cost model: [`Engine::compile`] runs the expensive planning pipeline (path
 //! search + lifetime slicing + SA refinement) and returns a
 //! [`CompiledCircuit`]; every execute on the compiled circuit only *rebinds*
-//! the output-projector leaf tensors (see
-//! [`qtn_circuit::NetworkBuild::rebind_output`]) and replays the plan on the
-//! engine's persistent worker pool — no re-planning, no thread spawning.
+//! the output bits — the output-projector leaves read the plan's compiled
+//! bit-0 / bit-1 projector table — and replays the plan on the engine's
+//! persistent worker pool as one batch (a single amplitude is a batch of
+//! one) — no re-planning, no thread spawning.
 //!
 //! Plans are memoized in an LRU cache keyed by circuit fingerprint, planner
 //! configuration and output *shape* (`Amplitude` vs the set of open qubits):
@@ -46,7 +47,7 @@
 
 use crate::error::Error;
 use crate::executor::{
-    execute_on_pool, BranchSeed, ExecutionStats, ExecutorConfig, LeafOverrides, WorkerPool,
+    execute_amplitudes_on_pool, BranchSeed, ExecutionStats, ExecutorConfig, WorkerPool,
 };
 use crate::planner::{plan_simulation, PlannerConfig, SimulationPlan};
 use crate::sampling::sample_bitstrings;
@@ -514,8 +515,7 @@ impl Engine {
 
     /// Compile `circuit` for the open qubits (riding the plan cache) and
     /// draw `count` correlated samples with the remaining qubits projected
-    /// onto `fixed` — the one-call sampling entry the [`crate::Simulator`]
-    /// shim rides.
+    /// onto `fixed` — the one-call sampling entry.
     ///
     /// All `2^|open|` amplitudes come from **one** batched execution of the
     /// compiled plan ([`CompiledCircuit::execute_batch`]): the stem sweep
@@ -719,19 +719,30 @@ impl CompiledCircuit {
         Ok(())
     }
 
-    fn execute_rebound(
+    /// Execute a batch of already shape-checked bitstrings.
+    fn execute_bits(
         &self,
-        bits: &[u8],
-    ) -> Result<(DenseTensor<Complex64>, ExecutionReport), Error> {
-        self.validate_bits(bits)?;
-        let overrides: LeafOverrides = self.plan.build.rebind_output(bits)?.into_iter().collect();
+        bitstrings: &[&[u8]],
+    ) -> Result<(Vec<DenseTensor<Complex64>>, ExecutionReport), Error> {
+        for bits in bitstrings {
+            self.validate_bits(bits)?;
+        }
         let branch_cache_hit = self.plan.branch_cache_built();
-        let (result, stats) =
-            execute_on_pool(&self.pool, &self.plan, &Arc::new(overrides), &self.executor)?;
+        let (results, stats) =
+            execute_amplitudes_on_pool(&self.pool, &self.plan, bitstrings, &self.executor)?;
         Ok((
-            result,
+            results,
             ExecutionReport { stats, plan_cache_hit: self.plan_cache_hit, branch_cache_hit },
         ))
+    }
+
+    /// Execute one bitstring: a batch of one.
+    fn execute_one(&self, bits: &[u8]) -> Result<(DenseTensor<Complex64>, ExecutionReport), Error> {
+        let (mut results, report) = self.execute_bits(&[bits])?;
+        let result = results
+            .pop()
+            .ok_or_else(|| Error::Internal("a batch of one lost its result".into()))?;
+        Ok((result, report))
     }
 
     /// Compute the amplitude ⟨bits|C|0…0⟩. Requires an
@@ -758,7 +769,7 @@ impl CompiledCircuit {
                 requested: "amplitude",
             });
         }
-        let (result, report) = self.execute_rebound(bits)?;
+        let (result, report) = self.execute_one(bits)?;
         Ok((result.scalar_value(), report))
     }
 
@@ -801,21 +812,8 @@ impl CompiledCircuit {
                 requested: "amplitude",
             });
         }
-        for bits in bitstrings {
-            self.validate_bits(bits)?;
-        }
-        let branch_cache_hit = self.plan.branch_cache_built();
-        let (results, stats) = crate::executor::execute_amplitudes_on_pool(
-            &self.pool,
-            &self.plan,
-            bitstrings,
-            &self.executor,
-        )?;
-        let amplitudes = results.iter().map(DenseTensor::scalar_value).collect();
-        Ok((
-            amplitudes,
-            ExecutionReport { stats, plan_cache_hit: self.plan_cache_hit, branch_cache_hit },
-        ))
+        let (results, report) = self.execute_bits(bitstrings)?;
+        Ok((results.iter().map(DenseTensor::scalar_value).collect(), report))
     }
 
     /// Compute the tensor of amplitudes over the compiled open qubits with
@@ -846,7 +844,7 @@ impl CompiledCircuit {
                 requested: "open-batch",
             });
         }
-        let (result, report) = self.execute_rebound(fixed)?;
+        let (result, report) = self.execute_one(fixed)?;
         // Order axes by qubit id.
         let mut pairs = self.plan.build.open_indices.clone();
         pairs.sort_by_key(|&(q, _)| q);
@@ -1481,5 +1479,90 @@ mod tests {
         // Fixing qubit 0 to 0 projects onto an impossible branch: the batch
         // over qubit 1 is all zeros.
         assert_eq!(compiled.sample(&[0, 0], 10, 1).unwrap_err(), Error::ZeroAmplitudeDistribution);
+    }
+
+    #[test]
+    fn amplitude_of_ghz_state() {
+        let mut c = Circuit::new(3);
+        c.push1(Gate::H, 0).push2(Gate::Cnot, 0, 1).push2(Gate::Cnot, 1, 2);
+        let engine = Engine::new();
+        let amplitude = |bits: &[u8]| {
+            let compiled = engine.compile(&c, &OutputSpec::Amplitude(bits.to_vec())).unwrap();
+            compiled.execute_amplitude(bits).unwrap().0
+        };
+        let h = 1.0 / 2f64.sqrt();
+        assert!((amplitude(&[0, 0, 0]) - qtn_tensor::c64(h, 0.0)).abs() < 1e-10);
+        assert!((amplitude(&[1, 1, 1]) - qtn_tensor::c64(h, 0.0)).abs() < 1e-10);
+        assert!(amplitude(&[1, 0, 1]).abs() < 1e-10);
+        // Three amplitudes of the same shape plan once.
+        assert_eq!(engine.plans_built(), 1);
+    }
+
+    #[test]
+    fn batch_matches_statevector() {
+        let circuit = RqcConfig::small(2, 3, 6, 9).build();
+        let n = circuit.num_qubits();
+        let sv = StateVector::simulate(&circuit);
+        let engine =
+            Engine::new().with_planner(PlannerConfig { target_rank: 8, ..Default::default() });
+        let open = vec![1usize, 3usize];
+        let spec = OutputSpec::Open { fixed: vec![0; n], open: open.clone() };
+        let (batch, _) =
+            engine.compile(&circuit, &spec).unwrap().execute_batch(&vec![0; n]).unwrap();
+        assert_eq!(batch.rank(), 2);
+        for b0 in 0..2u8 {
+            for b1 in 0..2u8 {
+                let mut bits = vec![0u8; n];
+                bits[open[0]] = b0;
+                bits[open[1]] = b1;
+                assert!((batch.get(&[b0, b1]) - sv.amplitude(&bits)).abs() < 1e-8);
+            }
+        }
+    }
+
+    #[test]
+    fn sampling_distribution_tracks_probabilities() {
+        // A Hadamard on one open qubit: both outcomes roughly equally likely.
+        let mut c = Circuit::new(2);
+        c.push1(Gate::H, 0);
+        let (samples, _) = Engine::new().sample_bitstrings(&c, &[0, 0], &[0], 2000, 7).unwrap();
+        assert_eq!(samples.len(), 2000);
+        let ones = samples.iter().filter(|s| s[0] == 1).count();
+        assert!(ones > 800 && ones < 1200, "biased sampling: {ones}/2000");
+    }
+
+    #[test]
+    fn batched_amplitudes_match_single_amplitudes_bit_for_bit() {
+        let circuit = RqcConfig::small(3, 3, 8, 11).build();
+        let n = circuit.num_qubits();
+        let engine =
+            Engine::new().with_planner(PlannerConfig { target_rank: 7, ..Default::default() });
+        let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
+        let bitstrings: Vec<Vec<u8>> =
+            (0..8usize).map(|k| (0..n).map(|q| ((k >> (q % 3)) & 1) as u8).collect()).collect();
+        let batch: Vec<&[u8]> = bitstrings.iter().map(Vec::as_slice).collect();
+        let (batched, report) = compiled.execute_amplitudes(&batch).unwrap();
+        assert_eq!(report.stats.amplitudes_in_batch, 8);
+        for (bits, &amp) in bitstrings.iter().zip(batched.iter()) {
+            assert_eq!(
+                compiled.execute_amplitude(bits).unwrap().0,
+                amp,
+                "batch must match singles"
+            );
+        }
+        // One plan serves the batch and every single amplitude.
+        assert_eq!(engine.plans_built(), 1);
+    }
+
+    #[test]
+    fn plan_can_be_inspected_without_execution() {
+        let circuit = RqcConfig::small(3, 3, 8, 10).build();
+        let n = circuit.num_qubits();
+        let engine =
+            Engine::new().with_planner(PlannerConfig { target_rank: 9, ..Default::default() });
+        let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
+        assert!(compiled.plan().log_cost > 0.0);
+        assert!(compiled.plan().num_subtasks() >= 1);
+        assert!(!compiled.plan().branch_cache_built(), "compiling executes nothing");
     }
 }

@@ -30,12 +30,12 @@
 //!    for each of the `2^|S|` subtasks, seeded with the cached branch and
 //!    frontier tensors.
 //!
-//! Setting [`ExecutorConfig::reuse`] to `false` forces the original full
-//! per-subtask replay; results are **bit-identical** either way, because
-//! every node's tensor is produced by the same pairwise contractions in the
-//! same order — reuse only changes how often they run.
-//! [`ExecutionStats`] reports the per-phase FLOP split and the work avoided
-//! (`branch_flops_reused`).
+//! Setting [`ExecutorConfig::reuse`] to `false` makes every subtask run
+//! the original full replay of every bitstring instead; results are
+//! **bit-identical** either way, because every node's tensor is produced by
+//! the same pairwise contractions in the same order — reuse only changes
+//! how often they run. [`ExecutionStats`] reports the per-phase FLOP split
+//! and the work avoided (`branch_flops_reused`).
 //!
 //! ## Compiled front end
 //!
@@ -55,32 +55,44 @@
 //!
 //! ## Lifetime-pooled stem sweep
 //!
-//! With [`ExecutorConfig::pool`] on (the default), the per-subtask stem
-//! replay runs through per-worker [`BufferPool`]s instead of allocating:
-//! sliced leaves are gathered straight into recycled buffers
-//! ([`qtn_tensor::DenseTensor::slice_into`]), contractions run through
-//! precompiled [`qtn_tensor::ContractionKernel`]s into recycled output and
-//! permutation-scratch buffers, and every buffer returns to its size
-//! class's free list the moment the lifetime analysis
+//! The per-subtask stem replay runs through per-worker [`BufferPool`]s
+//! instead of allocating: sliced leaves are gathered straight into
+//! recycled buffers ([`qtn_tensor::DenseTensor::slice_into`]), contractions
+//! run through precompiled [`qtn_tensor::ContractionKernel`]s into recycled
+//! output and permutation-scratch buffers, and every buffer returns to its
+//! size class's free list the moment the lifetime analysis
 //! ([`qtn_tensornet::lifetime`]) says it dies. After the first subtask
-//! warms the free lists the hot loop performs **zero heap allocations**;
-//! pools persist on the plan across executions (like the branch cache), so
-//! a compiled circuit's second execution allocates no stem buffers at all.
-//! Frontier tables live outside these pools (their buffers are recycled
-//! across calls by the compiled program), so
-//! [`ExecutionStats::buffers_allocated`] / `buffers_reused` and
-//! [`ExecutionStats::peak_bytes_in_flight`] count stem traffic only, and
-//! the peak matches the plan's [`ExecutionStats::predicted_peak_bytes`]
+//! warms the free lists the hot loop performs **zero heap allocations**.
+//! With [`ExecutorConfig::pool`] on (the default) the pools persist on the
+//! plan across executions (like the branch cache), so a compiled circuit's
+//! second execution allocates no stem buffers at all; with it off every
+//! call sweeps on fresh pools and starts cold. Frontier tables live outside
+//! these pools (their buffers are recycled across calls by the compiled
+//! program), so [`ExecutionStats::buffers_allocated`] / `buffers_reused`
+//! and [`ExecutionStats::peak_bytes_in_flight`] count stem traffic only,
+//! and the peak matches the plan's [`ExecutionStats::predicted_peak_bytes`]
 //! exactly. Results stay bit-identical: pooling changes where bytes live,
-//! never what is computed. Batched executions always take the pooled sweep.
+//! never what is computed.
 //!
-//! Subtasks run on a persistent [`WorkerPool`] — threads are spawned once
-//! and reused across executions, mirroring the paper's long-lived processes
-//! sweeping millions of slice subtasks. Work is distributed by *static
-//! striding* (worker `w` takes subtasks `w, w + W, w + 2W, …`) and the
-//! per-worker partial accumulators are reduced in worker order, so repeated
-//! executions of the same plan produce **bit-identical** results — the
-//! floating-point summation order never depends on thread scheduling.
+//! ## One sweep
+//!
+//! [`execute_amplitudes_on_pool`] is the only entry: a single execution is
+//! a batch of one. Subtasks run on a persistent [`WorkerPool`] — threads
+//! are spawned once and reused across executions, mirroring the paper's
+//! long-lived processes sweeping millions of slice subtasks. Work is
+//! distributed by *static striding* (worker `w` takes subtasks
+//! `w, w + W, w + 2W, …`) and each bitstring's per-worker partials are
+//! reduced in worker order, so repeated executions of the same plan produce
+//! **bit-identical** results — the floating-point summation order never
+//! depends on thread scheduling. What a subtask replays is chosen once per
+//! call:
+//!
+//! | case | replay per subtask |
+//! |---|---|
+//! | reuse off | the full tree, once per bitstring |
+//! | unsliced plan | nothing: each bitstring's slice-invariant root |
+//! | one bitstring, or a root no output bit reaches | the whole stem, consuming each buffer as it dies |
+//! | otherwise | the StemPure prefix once, then the StemMixed suffix once per distinct key |
 
 use crate::error::Error;
 use crate::fault::{self, FaultPoint};
@@ -92,18 +104,11 @@ use qtn_tensor::{
     IndexSet,
 };
 use qtn_tensornet::NodeClass;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Replacement leaf data keyed by network vertex id (position in
-/// `SimulationPlan::build.nodes`). Produced by
-/// [`qtn_circuit::NetworkBuild::rebind_output`]: executing a plan with
-/// overrides retargets the output projectors without touching the plan.
-pub type LeafOverrides = HashMap<usize, DenseTensor<Complex64>>;
 
 /// Executor options.
 #[derive(Debug, Clone)]
@@ -116,21 +121,22 @@ pub struct ExecutorConfig {
     /// Reuse slice-invariant partial contractions across subtasks (the
     /// stem-only sweep): branch tensors are contracted once per plan,
     /// frontier tensors once per execution, and only Stem-class nodes are
-    /// replayed per subtask. Disable to force the full per-subtask replay —
-    /// the result is bit-identical, only slower.
+    /// replayed per subtask. Disable to run the full per-subtask replay of
+    /// every bitstring — the reference the stem-only sweep is
+    /// bit-identical to, only slower. Kept as a field (not just a test
+    /// oracle) because the figure binaries and external benchmark harnesses
+    /// build this struct field by field and price standalone subtasks with
+    /// it.
     pub reuse: bool,
-    /// Run the stem sweep on per-worker [`BufferPool`]s: every sliced leaf,
-    /// intermediate and permutation-scratch buffer is recycled, so after
-    /// the first subtask warms the free lists the hot loop performs zero
-    /// heap allocations (pools persist across executions of the same plan,
-    /// like the branch cache, so later executions allocate no stem buffers
-    /// at all).
-    /// Results are bit-identical to the unpooled path — the same
-    /// contractions run in the same order, only the buffers differ.
-    /// Effective only together with [`reuse`](Self::reuse); disable to fall
-    /// back to allocate-per-contraction execution of single amplitudes.
-    /// Batched executions always take the pooled sweep, which is
-    /// bit-identical and never slower.
+    /// Keep the per-worker [`BufferPool`]s of the stem sweep on the plan
+    /// across executions (like the branch cache), so every execution after
+    /// the first allocates no stem buffer at all. Off, each worker sweeps on
+    /// a fresh pool that is dropped when the call ends: every call starts
+    /// cold (it allocates the plan's predicted slot count per worker) and
+    /// the plan retains no buffers. Either way the sweep is the same code
+    /// and the results are bit-identical; only where the buffers live
+    /// between calls differs. Kept as a field for the same reason as
+    /// [`reuse`](Self::reuse).
     pub pool: bool,
 }
 
@@ -148,8 +154,8 @@ impl Default for ExecutorConfig {
 /// What the executor measured.
 ///
 /// `flops` is the real work this call executed; it always equals
-/// `stem_flops + frontier_flops + branch_flops`. With reuse disabled (or
-/// bypassed), every contraction is replayed per subtask, so
+/// `stem_flops + frontier_flops + branch_flops`. With reuse disabled,
+/// every contraction is replayed per subtask and bitstring, so
 /// `stem_flops == flops` and the other phase counters are zero.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionStats {
@@ -172,8 +178,8 @@ pub struct ExecutionStats {
     /// Floating point operations a loop of single executions would have
     /// spent re-running the StemPure prefix but this call avoided by
     /// batching: `(amplitudes_in_batch − 1) ×` the executed
-    /// [`stem_pure_flops`](Self::stem_pure_flops). Zero outside batched
-    /// execution.
+    /// [`stem_pure_flops`](Self::stem_pure_flops). Zero for a batch of
+    /// one.
     pub stem_pure_flops_reused: u64,
     /// StemPure pairwise contractions executed by this call. In a batched
     /// execution this equals the StemPure schedule length times the number
@@ -190,8 +196,8 @@ pub struct ExecutionStats {
     /// spent replaying StemMixed contractions per bitstring but this call
     /// avoided by keyed deduplication: the per-`(subtask, bitstring)` mixed
     /// bill times the batch, minus the executed
-    /// [`stem_mixed_flops`](Self::stem_mixed_flops). Zero outside batched
-    /// execution.
+    /// [`stem_mixed_flops`](Self::stem_mixed_flops). Zero for a batch of
+    /// one.
     pub stem_mixed_flops_reused: u64,
     /// StemMixed pairwise contractions executed by this call. In a batched
     /// execution every mixed contraction runs once per distinct key its
@@ -199,14 +205,15 @@ pub struct ExecutionStats {
     pub stem_mixed_contractions: u64,
     /// StemMixed pairwise contractions a per-bitstring replay would have
     /// executed but keyed deduplication skipped (the batch shared an
-    /// already-computed intermediate). Zero outside batched execution.
+    /// already-computed intermediate). Zero for a batch of one.
     pub stem_mixed_contractions_deduped: u64,
     /// Sum over StemMixed contraction nodes of the number of distinct
     /// dependent-bits keys the batch presented — the structural lower bound
     /// on per-subtask mixed contractions. On spine-shaped mixed suffixes
     /// (nested dependency masks) the executed
     /// [`stem_mixed_contractions`](Self::stem_mixed_contractions) equals
-    /// exactly this times the subtasks run. Zero outside batched execution.
+    /// exactly this times the subtasks run; a batch of one presents one key
+    /// per node. Zero when reuse is off.
     pub stem_mixed_distinct_keys: u64,
     /// Number of amplitudes this execution produced: the batch size of a
     /// batched multi-amplitude execution, 1 for single executions.
@@ -269,35 +276,41 @@ pub struct ExecutionStats {
     /// workers. On a cold pool this equals the plan's predicted slot count
     /// times [`workers`](Self::workers) (the worker count actually used,
     /// which is capped at the subtask count — idle workers allocate
-    /// nothing); every later execution of the same plan reports 0 — the
-    /// proof of the zero-allocation steady state. Zero when pooling is off.
+    /// nothing); with [`ExecutorConfig::pool`] on every later execution of
+    /// the same plan reports 0 — the proof of the zero-allocation steady
+    /// state — while with it off every call starts cold. Zero when no stem
+    /// is replayed (reuse off, or an unsliced plan).
     pub buffers_allocated: u64,
     /// Buffers served from pool free lists instead of the allocator,
-    /// summed over workers. Zero when pooling is off.
+    /// summed over workers. Zero when no stem is replayed.
     pub buffers_reused: u64,
     /// Exact high-water mark of bytes checked out of any single worker's
     /// buffer pool (each worker replays one subtask at a time, so this is
     /// the per-worker stem working set, not the sum across workers). Zero
-    /// when pooling is off.
+    /// when no stem is replayed.
     pub peak_bytes_in_flight: u64,
-    /// The plan-time prediction for `peak_bytes_in_flight`: the stem
-    /// phase's [`qtn_tensornet::PhaseMemoryPlan::peak_bytes`]. Lifetimes of
-    /// contraction intermediates are statically known, so a pooled
-    /// execution satisfies `peak_bytes_in_flight <= predicted_peak_bytes`
-    /// exactly (equality whenever at least one sliced subtask ran).
+    /// The plan-time prediction for `peak_bytes_in_flight`:
+    /// [`qtn_tensornet::PhaseMemoryPlan::peak_bytes`] of the stem phase, or
+    /// of the batched stem phase when a batch ran the keyed StemMixed
+    /// suffix. Lifetimes of contraction intermediates are statically known,
+    /// so the stem sweep satisfies `peak_bytes_in_flight <=
+    /// predicted_peak_bytes` exactly (equality whenever at least one sliced
+    /// subtask ran with reuse on).
     pub predicted_peak_bytes: u64,
     /// Wall-clock time of the whole execution, from entry to the reduced
     /// result, including the serial front end
     /// ([`prepare_seconds`](Self::prepare_seconds)).
     pub wall_seconds: f64,
     /// Wall-clock time of the serial front end that runs before any worker
-    /// starts: output rebinding, the branch-cache (re)build, the frontier
-    /// and the key and dedup tables. Always `<= wall_seconds`.
+    /// starts: bitstring validation, the branch-cache (re)build, the
+    /// frontier and the key and dedup tables (with reuse off: the
+    /// per-bitstring projector leaves). Always `<= wall_seconds`.
     pub prepare_seconds: f64,
-    /// Mean wall-clock time of one subtask on one worker, measured over the
-    /// parallel sweep only — the one-off cache builds are excluded. With
-    /// reuse enabled this prices a *stem-only* replay; extrapolations that
-    /// need the cost of a standalone full subtask should measure with
+    /// Mean wall-clock time of one subtask (for the whole batch) on one
+    /// worker, measured over the parallel sweep only — the serial front end
+    /// is excluded on every path. With reuse enabled this prices a
+    /// *stem-only* replay; extrapolations that need the cost of a
+    /// standalone full subtask should measure a single execution with
     /// [`ExecutorConfig::reuse`] disabled.
     pub seconds_per_subtask: f64,
     /// Worker threads used.
@@ -707,8 +720,6 @@ impl Operand {
 struct ProjectorLeaf {
     /// Tree node this leaf occupies.
     node: usize,
-    /// Network vertex the data comes from (override key).
-    vertex: usize,
     /// Position in `plan.build.projector_leaves`.
     ordinal: usize,
     /// The qubit whose output bit the projector selects.
@@ -717,25 +728,24 @@ struct ProjectorLeaf {
     frontier: bool,
 }
 
-/// One stem leaf's slicing recipe: which axes of the (possibly overridden)
-/// source tensor are fixed by which sliced-edge bit. Applying it is a
+/// One stem leaf's slicing recipe: which axes of the source tensor are fixed by which sliced-edge bit. Applying it is a
 /// single [`DenseTensor::slice_into`] gather into a pooled buffer — no
 /// clone, no per-edge re-slicing.
 #[derive(Debug)]
 struct StemLeafExec {
     /// Tree node this leaf occupies.
     node: usize,
-    /// Network vertex the data comes from (override key).
+    /// Network vertex the plan's data comes from.
     vertex: usize,
     /// `(axis position in the source tensor, bit position in the slicing
     /// set)` for every sliced edge the leaf carries.
     fixes: Vec<(usize, usize)>,
     /// Elements of the sliced leaf tensor.
     len: usize,
-    /// Projector ordinal of a StemMixed-class leaf (an overridable
-    /// projector that also carries a sliced edge): re-sliced per key in a
-    /// batched execution, from the projector table. `None` for StemPure
-    /// leaves, which are sliced once per subtask.
+    /// Projector ordinal of a StemMixed-class leaf (a projector that also
+    /// carries a sliced edge): sliced from the projector table entry of the
+    /// bitstring's bit — re-sliced per key in a keyed batch. `None` for
+    /// StemPure leaves, which slice the plan's data once per subtask.
     ordinal: Option<usize>,
 }
 
@@ -764,14 +774,13 @@ struct StepExec {
 /// dedup sort priority. Compiled once in the plan's lifetime (it only
 /// depends on index sets, which output rebinding and parameter rebinding
 /// preserve) and memoized on the [`SimulationPlan`] like the branch cache;
-/// shared read-only by all workers. Overrides that *do* change a leaf's
-/// axis order get a fresh, uncached compile instead.
+/// shared read-only by all workers.
 #[derive(Debug)]
 pub(crate) struct StemExec {
     /// Every projector-dependent leaf, in tree-node order.
     projector_leaves: Vec<ProjectorLeaf>,
-    /// Projector data by ordinal and bit (`[bit 0, bit 1]`): what batched
-    /// executions read instead of building per-bitstring overrides.
+    /// Projector data by ordinal and bit (`[bit 0, bit 1]`): what every
+    /// projector leaf reads, for every bitstring.
     projectors: Vec<[DenseTensor<Complex64>; 2]>,
     /// The frontier schedule, compiled.
     frontier_steps: Vec<StepExec>,
@@ -788,9 +797,6 @@ pub(crate) struct StemExec {
     /// StemMixed contraction outputs in batch-sort priority (see
     /// [`mixed_sort_priority`]).
     mixed_priority: Vec<usize>,
-    /// Whether the tree root is Stem-class (a sliced sweep). When false the
-    /// pooled replay is bypassed — the subtask result is a cached tensor.
-    root_is_stem: bool,
     /// Frontier table buffers recycled across executions. Kept apart from
     /// the stem pools, whose counters price the stem sweep only.
     spare: Mutex<Vec<Vec<Complex64>>>,
@@ -831,11 +837,7 @@ fn operand_indices<'a>(
 /// stem leaf's slicing recipe and every operand source, and build one
 /// [`ContractionKernel`] per frontier and stem contraction. Pure shape work
 /// — no amplitude is touched.
-fn build_stem_exec(
-    plan: &SimulationPlan,
-    cache: &BranchCache,
-    overrides: &LeafOverrides,
-) -> Result<StemExec, Error> {
+fn build_stem_exec(plan: &SimulationPlan, cache: &BranchCache) -> Result<StemExec, Error> {
     let cls = &plan.classification;
     let sliced = &plan.slicing.sliced;
     let num_nodes = plan.tree.nodes().len();
@@ -846,7 +848,7 @@ fn build_stem_exec(
     for (node_id, node) in plan.tree.nodes().iter().enumerate() {
         let Some(vertex) = node.leaf_vertex else { continue };
         let class = cls.class(node_id);
-        let src = overrides.get(&vertex).unwrap_or(&plan.build.nodes[vertex].data);
+        let src = &plan.build.nodes[vertex].data;
         let ordinal =
             if class.depends_on_projector() {
                 let ordinal =
@@ -855,7 +857,6 @@ fn build_stem_exec(
                     )?;
                 projector_leaves.push(ProjectorLeaf {
                     node: node_id,
-                    vertex,
                     ordinal,
                     qubit: plan.build.projector_leaves[ordinal].0,
                     frontier: class == NodeClass::Frontier,
@@ -915,7 +916,6 @@ fn build_stem_exec(
         node_indices,
         frontier_keep,
         mixed_priority: mixed_sort_priority(plan),
-        root_is_stem: cls.class(plan.tree.root()).is_stem(),
         spare: Mutex::new(Vec::new()),
     })
 }
@@ -1115,6 +1115,11 @@ impl KeyTable {
     fn distinct(&self, node: usize) -> usize {
         self.parts(node).len()
     }
+
+    /// The output bit key id `k` stands for at a projector leaf.
+    fn bit(&self, leaf: usize, k: u32) -> usize {
+        self.parts(leaf)[k as usize].0 as usize
+    }
 }
 
 /// Reusable buffers of [`InternScratch::intern`].
@@ -1225,16 +1230,6 @@ fn mixed_dedup_order(keys: &KeyTable, priority: &[usize]) -> Vec<usize> {
 // The per-execution frontier
 // ---------------------------------------------------------------------------
 
-/// Where the Frontier-class leaves' data comes from.
-#[derive(Clone, Copy)]
-enum LeafInput<'a> {
-    /// A single execution's leaf overrides (plan data where absent).
-    Overrides(&'a LeafOverrides),
-    /// A batch of bitstrings: each leaf key's bit selects a projector-table
-    /// entry.
-    Bitstrings(&'a [&'a [u8]]),
-}
-
 /// One execution's frontier: the value of every live Frontier-class node
 /// for each distinct key id the batch presents, stored back to back in one
 /// table per node, plus the key ids that select them. Stem operands read
@@ -1291,7 +1286,6 @@ fn build_frontier(
     exec: &StemExec,
     cache: &BranchCache,
     keys: KeyTable,
-    input: LeafInput<'_>,
 ) -> Result<Frontier, Error> {
     let mut spare = std::mem::take(&mut *lock_unpoisoned(&exec.spare));
     let mut tables: Vec<Vec<Complex64>> = vec![Vec::new(); plan.tree.nodes().len()];
@@ -1300,14 +1294,7 @@ fn build_frontier(
         let parts = keys.parts(leaf.node);
         let mut table = recycled(&mut spare, parts.len() * len);
         for (value, &(bit, _)) in table.chunks_exact_mut(len).zip(parts) {
-            let data = match input {
-                LeafInput::Overrides(overrides) => overrides
-                    .get(&leaf.vertex)
-                    .unwrap_or(&plan.build.nodes[leaf.vertex].data)
-                    .data(),
-                LeafInput::Bitstrings(_) => exec.projectors[leaf.ordinal][bit as usize].data(),
-            };
-            value.copy_from_slice(data);
+            value.copy_from_slice(exec.projectors[leaf.ordinal][bit as usize].data());
         }
         tables[leaf.node] = table;
     }
@@ -1394,14 +1381,18 @@ fn slice_invariant_root(
 
 /// Per-worker state that survives the whole sweep: the worker's buffer
 /// pool and its per-execution counters, the slot table and the reusable
-/// fix buffer (cleared, never reallocated, between subtasks), and the root
-/// index set recycled from the previous subtask's result tensor.
+/// fix buffer (cleared, never reallocated, between subtasks), the root
+/// index set recycled from the previous subtask's result tensor, and the
+/// keyed suffix's most-recent-key cache.
 struct StemWorkspace {
     pool: BufferPool,
     counters: PoolCounters,
     slots: Vec<Option<Vec<Complex64>>>,
     fix_buf: Vec<(usize, u8)>,
     root_indices: Option<IndexSet>,
+    /// The key id each held buffer of a keyed StemMixed suffix currently
+    /// holds, by tree node (see [`run_mixed_suffix_keyed_pooled`]).
+    cached: Vec<u32>,
 }
 
 impl StemWorkspace {
@@ -1412,6 +1403,7 @@ impl StemWorkspace {
             slots: vec![None; num_nodes],
             fix_buf: Vec::new(),
             root_indices: None,
+            cached: vec![NONE; num_nodes],
         }
     }
 
@@ -1490,7 +1482,7 @@ fn cached_operand<'a>(
 }
 
 /// Replay one stem step whose slot operands die with it (every step of a
-/// single execution, and every StemPure step of a batch): operands are
+/// whole-stem replay, and every StemPure step of a keyed batch): operands are
 /// taken out of the slot table, contracted through the precompiled kernel
 /// into recycled output and scratch buffers, and released immediately —
 /// the acquire/release sequence [`qtn_tensornet::lifetime`] simulates.
@@ -1538,43 +1530,55 @@ fn replay_consuming(
     Ok(())
 }
 
-/// Execute one slice assignment of a single execution on the worker's
-/// buffer pool: every sliced leaf is gathered into a recycled buffer, every
-/// contraction runs through its precompiled kernel into recycled
-/// output/scratch buffers, and buffers return to the pool the moment their
-/// statically known lifetime ends. The acquire/release sequence mirrors
-/// [`qtn_tensornet::lifetime`]'s phase simulation step for step, which is
-/// why the plan's predicted peak and slot counts are exact. Bit-identical
-/// to [`run_subtask_stem`]. `leaf_src[i]` is the source tensor of
-/// `exec.leaves[i]`.
+/// Replay one slice assignment's stem on the worker's buffer pool, every
+/// step consuming its slot operands: sliced leaves are gathered into
+/// recycled buffers, contractions run through their precompiled kernels
+/// into recycled output/scratch buffers, and buffers return to the pool the
+/// moment their statically known lifetime ends. The acquire/release
+/// sequence mirrors [`qtn_tensornet::lifetime`]'s phase simulation step for
+/// step, which is why the plan's predicted peak and slot counts are exact.
 ///
-/// Returns the root tensor (whose data buffer the caller must release back
-/// to the pool after merging) and the replayed flop count, split as
-/// `(root, total_flops, pure_flops)`.
-#[allow(clippy::too_many_arguments)]
+/// With `whole` set this is the whole stem for bitstring 0 (projector
+/// leaves slice its bit's projector-table entry) and the root stays in its
+/// slot for the caller to merge — the stem phase's sequence. Without it
+/// only the StemPure leaves and contractions run, and what remains in the
+/// slot table is exactly the classification's StemPure keep set, held there
+/// (still checked out of the pool) for every bitstring of a keyed batch to
+/// read — the batched stem phase's prefix. A pure contraction's operands
+/// are StemPure or Branch (a pure node consumed by a *mixed* step never
+/// shows up as a pure-step operand).
+///
+/// Returns the replayed flop count, split as `(total_flops, pure_flops)`.
 fn run_subtask_stem_pooled(
     plan: &SimulationPlan,
-    exec: &StemExec,
-    frontier: &Frontier,
-    leaf_src: &[&DenseTensor<Complex64>],
+    state: &ReuseState,
     assignment: usize,
+    whole: bool,
     ws: &mut StemWorkspace,
     gemm: &mut GemmTally,
-) -> Result<(DenseTensor<Complex64>, u64, u64), Error> {
+) -> Result<(u64, u64), Error> {
+    let ReuseState { exec, frontier, .. } = state;
     let cache = cache_of(plan)?;
     let mut flops = 0u64;
     let mut pure_flops = 0u64;
-    for (leaf, src) in exec.leaves.iter().zip(leaf_src) {
+    for leaf in exec.leaves.iter().filter(|l| whole || l.ordinal.is_none()) {
+        let src = match leaf.ordinal {
+            Some(ordinal) => {
+                let keys = &frontier.keys;
+                &exec.projectors[ordinal][keys.bit(leaf.node, keys.id(leaf.node, 0))]
+            }
+            None => &plan.build.nodes[leaf.vertex].data,
+        };
         ws.load_leaf(leaf, src, assignment);
     }
-    for step in &exec.steps {
+    for step in exec.steps.iter().filter(|s| whole || !s.mixed) {
         replay_consuming(exec, cache, frontier, step, ws, gemm)?;
         flops += step.kernel.flops();
         if !step.mixed {
             pure_flops += step.kernel.flops();
         }
     }
-    Ok((ws.root_tensor(exec, plan.tree.root())?, flops, pure_flops))
+    Ok((flops, pure_flops))
 }
 
 /// Chaos hook: the [`FaultPoint::WorkerPanic`] injection point, checked
@@ -1701,7 +1705,9 @@ pub fn execute_plan(
     try_execute_plan(plan, config).expect("plan execution failed")
 }
 
-/// Execute a plan on the process-wide worker pool.
+/// Execute a plan on the process-wide worker pool, for the output
+/// bitstring its projector leaves select
+/// ([`qtn_circuit::NetworkBuild::output_bits`]): a batch of one.
 ///
 /// The internal plan clone shares the caller's plan-lifetime branch cache,
 /// so repeated calls with the same plan build the cache once and reuse it
@@ -1711,19 +1717,22 @@ pub fn try_execute_plan(
     config: &ExecutorConfig,
 ) -> Result<(DenseTensor<Complex64>, ExecutionStats), Error> {
     let plan = Arc::new(plan.clone());
-    execute_on_pool(global_pool(), &plan, &Arc::new(LeafOverrides::new()), config)
+    let bits = plan.build.output_bits();
+    let (mut results, stats) = execute_amplitudes_on_pool(global_pool(), &plan, &[&bits], config)?;
+    let result =
+        results.pop().ok_or_else(|| Error::Internal("a batch of one lost its result".into()))?;
+    Ok((result, stats))
 }
 
 /// Accounting of the cache phases of one reusing execution, plus the
 /// compiled program and the frontier every worker reads.
 struct ReuseState {
-    /// The compiled program (memoized on the plan unless an override
-    /// changed a leaf's axis order).
+    /// The compiled program, memoized on the plan.
     exec: Arc<StemExec>,
     /// This execution's frontier values and key ids. Branch-origin inputs
     /// are *not* copied anywhere — workers read them straight from the
-    /// plan's [`BranchCache`] through their `Arc<SimulationPlan>`.
-    frontier: Arc<Frontier>,
+    /// plan's [`BranchCache`].
+    frontier: Frontier,
     /// Full branch-cache build cost (paid once in the plan's lifetime;
     /// after a parameter rebind this is still the *cold* bill — executed
     /// plus survived — so reuse accounting prices replays consistently).
@@ -1755,20 +1764,12 @@ impl ReuseState {
         gemm.add(&self.branch_gemm);
         gemm.add(&self.frontier.gemm);
     }
-
-    /// Hand the frontier buffers back to the compiled program once every
-    /// worker has dropped its handle.
-    fn finish(self) {
-        if let Ok(frontier) = Arc::try_unwrap(self.frontier) {
-            self.exec.recycle(frontier.tables);
-        }
-    }
 }
 
 /// The serial front end of a reusing execution: build the branch cache
 /// (first execution only), fetch the compiled program, compute the key ids
-/// and run the frontier. A single execution is a batch of one.
-fn prepare_reuse(plan: &SimulationPlan, input: LeafInput<'_>) -> Result<ReuseState, Error> {
+/// of the batch and run the frontier.
+fn prepare_reuse(plan: &SimulationPlan, bitstrings: &[&[u8]]) -> Result<ReuseState, Error> {
     // Lazily build the plan-lifetime branch cache. `OnceLock::get_or_init`
     // blocks concurrent initializers, so even racing first executions run
     // the (potentially dominant-cost) build exactly once — the thread that
@@ -1784,37 +1785,20 @@ fn prepare_reuse(plan: &SimulationPlan, input: LeafInput<'_>) -> Result<ReuseSta
         .map_err(Clone::clone)?;
 
     // Rebinding preserves every leaf's index set, so the compiled program
-    // is plan-invariant and memoized on the plan; an override that
-    // *changes* a leaf's axis order gets a fresh, uncached compile.
-    let no_overrides = LeafOverrides::new();
-    let overrides = match input {
-        LeafInput::Overrides(overrides) => overrides,
-        LeafInput::Bitstrings(_) => &no_overrides,
-    };
-    let shapes_preserved =
-        overrides.iter().all(|(vertex, t)| t.indices() == plan.build.nodes[*vertex].data.indices());
-    let exec = if shapes_preserved {
-        let exec = plan
-            .stem_exec
-            .get_or_init(|| build_stem_exec(plan, cache, overrides).map(Arc::new))
-            .as_ref()
-            .map_err(Clone::clone)?;
-        Arc::clone(exec)
-    } else {
-        Arc::new(build_stem_exec(plan, cache, overrides)?)
-    };
-
-    let num_nodes = plan.tree.nodes().len();
-    let keys = match input {
-        LeafInput::Overrides(_) => KeyTable::build(&exec, num_nodes, 1, |_, _| 0),
-        LeafInput::Bitstrings(bits) => {
-            KeyTable::build(&exec, num_nodes, bits.len(), |b, qubit| bits[b][qubit])
-        }
-    };
-    let frontier = build_frontier(plan, &exec, cache, keys, input)?;
+    // is plan-invariant and memoized on the plan.
+    let exec = plan
+        .stem_exec
+        .get_or_init(|| build_stem_exec(plan, cache).map(Arc::new))
+        .as_ref()
+        .map_err(Clone::clone)?;
+    let exec = Arc::clone(exec);
+    let keys = KeyTable::build(&exec, plan.tree.nodes().len(), bitstrings.len(), |b, qubit| {
+        bitstrings[b][qubit]
+    });
+    let frontier = build_frontier(plan, &exec, cache, keys)?;
     Ok(ReuseState {
         exec,
-        frontier: Arc::new(frontier),
+        frontier,
         branch_flops_total: cache.cold_flops,
         branch_flops: if built_here { cache.flops } else { 0 },
         branch_contractions: if built_here { cache.contractions } else { 0 },
@@ -1866,311 +1850,186 @@ impl SweepShape {
     }
 }
 
-/// Execute a plan on an explicit [`WorkerPool`], substituting `overrides`
-/// for the corresponding leaf tensors (the compile-once / execute-many path:
-/// the overrides retarget output projectors without re-planning).
-///
-/// With [`ExecutorConfig::reuse`] enabled (the default), slice-invariant
-/// contractions are not replayed per subtask: branch tensors come from the
-/// plan-lifetime [`BranchCache`] and override-dependent frontier tensors are
-/// contracted once per call, so each subtask replays only the stem. The
-/// reuse path requires every override key to be one of the plan's
-/// output-projector leaves (true for everything produced by
-/// [`qtn_circuit::NetworkBuild::rebind_output`]); otherwise the executor
-/// silently falls back to the full replay.
-///
-/// Deterministic: subtasks are statically strided over `config.workers`
-/// logical workers and partials are reduced in worker order, so the result
-/// is bit-identical across runs regardless of thread scheduling — and
-/// bit-identical between the reuse and full-replay paths.
-pub fn execute_on_pool(
-    pool: &WorkerPool,
-    plan: &Arc<SimulationPlan>,
-    overrides: &Arc<LeafOverrides>,
-    config: &ExecutorConfig,
-) -> Result<(DenseTensor<Complex64>, ExecutionStats), Error> {
-    let start = Instant::now();
-    let shape = SweepShape::of(plan, config);
-    let SweepShape { run_subtasks, workers, .. } = shape;
+/// One bitstring's projector leaves for the full replay, by network vertex.
+type Projectors = HashMap<usize, DenseTensor<Complex64>>;
 
-    // The classification assumed only output-projector leaves are
-    // overridable; an override targeting any other leaf would make cached
-    // branch tensors stale, so such calls take the full-replay path.
-    let reuse = config.reuse
-        && overrides
-            .keys()
-            .all(|v| plan.build.projector_leaves.iter().any(|&(_, node)| node == *v));
-    let state =
-        if reuse { Some(prepare_reuse(plan, LeafInput::Overrides(overrides))?) } else { None };
-    let pooled = config.pool && state.as_ref().is_some_and(|s| s.exec.root_is_stem);
-    // The allocate-per-contraction stem replay reads frontier seeds as
-    // tensors; the pooled replay reads the frontier tables in place.
-    let seeds = match &state {
-        Some(s) if !pooled && s.exec.root_is_stem => Some(Arc::new(materialize_seeds(plan, s))),
-        _ => None,
-    };
-
-    // Per-subtask timing starts after the serial front end so
-    // `seconds_per_subtask` prices a subtask of the parallel sweep, not an
-    // amortized share of the one-off builds.
-    let sweep_start = Instant::now();
-
-    type WorkerOutcome = (DenseTensor<Complex64>, u64, u64, GemmTally, PoolCounters);
-    let (tx, rx) = mpsc::channel::<(usize, Result<WorkerOutcome, Error>)>();
-    for worker in 0..workers {
-        let tx = tx.clone();
-        let plan = Arc::clone(plan);
-        let overrides = Arc::clone(overrides);
-        let program = state.as_ref().map(|s| (Arc::clone(&s.exec), Arc::clone(&s.frontier)));
-        let seeds = seeds.as_ref().map(Arc::clone);
-        let sliced = shape.sliced.clone();
-        let sliced_open = shape.sliced_open.clone();
-        let output_indices = shape.output_indices.clone();
-        pool.submit(Box::new(move || {
-            // The worker's buffer pool persists on the plan across
-            // executions (checked back in below, on success *and* error,
-            // so a failed execution never cools the pool), so only the
-            // very first execution of a plan pays any allocation at all.
-            let mut ws = pooled.then(|| {
-                StemWorkspace::new(plan.tree.nodes().len(), plan.stem_pools.checkout(worker))
-            });
-            // A panicking subtask (injected or real) must fail only this
-            // execution, never the process: the unwind is caught at the
-            // job boundary and surfaces as a typed `ExecutionPanic`, and
-            // the workspace checkin below still runs.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut partial = DenseTensor::<Complex64>::zeros(output_indices);
-                let mut flops = 0u64;
-                let mut pure_flops = 0u64;
-                let mut gemm = GemmTally::default();
-                // Stem leaves read the plan's data, or this execution's
-                // override for a projector.
-                let leaf_src: Vec<&DenseTensor<Complex64>> = match &program {
-                    Some((exec, _)) if pooled => exec
-                        .leaves
-                        .iter()
-                        .map(|leaf| {
-                            let own = &plan.build.nodes[leaf.vertex].data;
-                            if leaf.ordinal.is_some() {
-                                overrides.get(&leaf.vertex).unwrap_or(own)
-                            } else {
-                                own
-                            }
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                // Static striding: worker w owns subtasks w, w+W, w+2W, …
-                let mut assignment = worker;
-                while assignment < run_subtasks {
-                    match (&program, ws.as_mut(), &seeds) {
-                        (Some((exec, frontier)), Some(ws), _) => {
-                            let (result, subtask_flops, subtask_pure) = run_subtask_stem_pooled(
-                                &plan, exec, frontier, &leaf_src, assignment, ws, &mut gemm,
-                            )?;
-                            flops += subtask_flops;
-                            pure_flops += subtask_pure;
-                            merge_subtask(&mut partial, &result, &sliced_open, &sliced, assignment);
-                            // The root tensor's buffer goes back to the
-                            // pool; its index set is recycled by the next
-                            // subtask of this worker.
-                            let (indices, buf) = result.into_parts();
-                            ws.pool.release(buf, &mut ws.counters);
-                            ws.root_indices = Some(indices);
-                        }
-                        (Some(_), None, Some(seeds)) => {
-                            let (result, subtask_flops, subtask_pure) = run_subtask_stem(
-                                &plan, seeds, &overrides, &sliced, assignment, &mut gemm,
-                            )?;
-                            flops += subtask_flops;
-                            pure_flops += subtask_pure;
-                            merge_subtask(&mut partial, &result, &sliced_open, &sliced, assignment);
-                        }
-                        // No contraction depends on the slice assignment
-                        // (empty slicing set): the cached root tensor *is*
-                        // the subtask result.
-                        (Some((exec, frontier)), None, None) => {
-                            let result = slice_invariant_root(&plan, exec, frontier, 0)?;
-                            merge_subtask(&mut partial, &result, &sliced_open, &sliced, assignment);
-                        }
-                        (None, _, _) => {
-                            let (result, subtask_flops) =
-                                run_subtask(&plan, &overrides, &sliced, assignment, &mut gemm)?;
-                            flops += subtask_flops;
-                            merge_subtask(&mut partial, &result, &sliced_open, &sliced, assignment);
-                        }
-                    }
-                    assignment += workers;
-                }
-                Ok((partial, flops, pure_flops, gemm))
-            }))
-            .unwrap_or_else(|payload| Err(Error::from_panic(payload)));
-            // The frontier handle goes before the result does, so the
-            // caller can reclaim the frontier buffers once every result is
-            // in.
-            drop(program);
-            // Return the pool regardless of the outcome: buffers still
-            // sitting in the slot table of a failed replay are drained
-            // back first, so even an error leaves the free lists warm.
-            let mut counters = PoolCounters::default();
-            if let Some(mut ws) = ws {
-                ws.release_slots();
-                counters = ws.counters;
-                plan.stem_pools.checkin(worker, ws.pool);
-            }
-            let _ = tx.send((
-                worker,
-                outcome.map(|(partial, flops, pure, gemm)| (partial, flops, pure, gemm, counters)),
-            ));
-        }));
-    }
-    drop(tx);
-
-    // Collect every worker's partial, then reduce in worker order so the
-    // summation order is schedule-independent.
-    let mut partials: Vec<Option<WorkerOutcome>> = (0..workers).map(|_| None).collect();
-    for _ in 0..workers {
-        let (worker, outcome) = rx
-            .recv()
-            .map_err(|_| Error::ExecutionPanic("an execution job was dropped unfinished".into()))?;
-        partials[worker] = Some(outcome?);
-    }
-    let mut partials = partials.into_iter();
-    let (mut result, mut stem_flops, mut stem_pure_flops, mut gemm_tally, mut pool_counters) =
-        partials
-            .next()
-            .flatten()
-            .ok_or_else(|| Error::Internal("missing worker partial".into()))?;
-    for slot in partials {
-        let (partial, worker_flops, worker_pure, worker_gemm, worker_counters) =
-            slot.ok_or_else(|| Error::Internal("missing worker partial".into()))?;
-        result.accumulate(&partial);
-        stem_flops += worker_flops;
-        stem_pure_flops += worker_pure;
-        gemm_tally.add(&worker_gemm);
-        pool_counters.merge(&worker_counters);
-    }
-    let sweep_wall = sweep_start.elapsed().as_secs_f64();
-
-    // A full replay would pay the branch + frontier contractions again in
-    // every subtask (branch tensors carry no sliced index, so their flop
-    // counts are identical in both modes).
-    let mut stats = ExecutionStats {
-        subtasks_run: run_subtasks,
-        subtasks_total: shape.total_subtasks,
-        flops: stem_flops,
-        stem_flops,
-        stem_pure_flops,
-        amplitudes_in_batch: 1,
-        buffers_allocated: pool_counters.allocated,
-        buffers_reused: pool_counters.reused,
-        peak_bytes_in_flight: pool_counters.peak_in_flight_bytes,
-        predicted_peak_bytes: plan.memory_plan.stem.peak_bytes(),
-        prepare_seconds: (sweep_start - start).as_secs_f64(),
-        seconds_per_subtask: shape.seconds_per_subtask(sweep_wall),
-        workers,
-        ..ExecutionStats::default()
-    };
-    if let Some(state) = state {
-        state.account(&mut stats, &mut gemm_tally);
-        let per_subtask_extra = state.branch_flops_total + state.frontier.flops;
-        stats.stem_pure_contractions =
-            plan.classification.stem_pure_schedule().len() as u64 * run_subtasks as u64;
-        stats.stem_mixed_flops = stem_flops - stem_pure_flops;
-        stats.stem_mixed_contractions =
-            plan.classification.stem_mixed_schedule().len() as u64 * run_subtasks as u64;
-        stats.branch_flops_reused = per_subtask_extra
-            .saturating_mul(run_subtasks as u64)
-            .saturating_sub(state.frontier.flops)
-            .saturating_sub(state.branch_flops);
-        state.finish();
-    }
-    stats.apply_gemm(&gemm_tally);
-    stats.simd_level = qtn_tensor::simd_level().as_str();
-    stats.wall_seconds = start.elapsed().as_secs_f64();
-    Ok((result, stats))
+/// What every subtask of one call replays, chosen once per call from what
+/// the configuration, the plan and the batch present.
+enum Replay {
+    /// Reuse off: the whole tree of every bitstring, from its own projector
+    /// leaves — the reference every other replay is bit-identical to.
+    Full(Vec<Projectors>),
+    /// No contraction depends on the slice assignment (an unsliced plan):
+    /// each bitstring's result is its slice-invariant root.
+    Invariant(ReuseState),
+    /// The whole stem once per subtask, consuming every buffer as it dies:
+    /// a batch of one, or a batch whose root no output bit reaches (so
+    /// every bitstring shares the result).
+    Stem(ReuseState),
+    /// The StemPure prefix once per subtask, then the StemMixed suffix once
+    /// per distinct key, the bitstrings taken in this dedup order.
+    Keyed(ReuseState, Vec<usize>),
 }
 
-/// The frontier stem seeds of a single execution as tensors, by tree-node
-/// id, for the allocate-per-contraction stem replay.
-fn materialize_seeds(
-    plan: &SimulationPlan,
-    state: &ReuseState,
-) -> Vec<Option<DenseTensor<Complex64>>> {
-    let exec = &state.exec;
-    let mut seeds = vec![None; plan.tree.nodes().len()];
-    for &id in plan.classification.stem_seeds() {
-        if let Some(indices) = exec.node_indices[id].as_ref() {
-            let data = state.frontier.value(exec, id, 0).to_vec();
-            seeds[id] = Some(DenseTensor::from_data(indices.clone(), data));
+impl Replay {
+    fn state(&self) -> Option<&ReuseState> {
+        match self {
+            Replay::Full(_) => None,
+            Replay::Invariant(state) | Replay::Stem(state) | Replay::Keyed(state, _) => Some(state),
         }
     }
-    seeds
+
+    fn into_state(self) -> Option<ReuseState> {
+        match self {
+            Replay::Full(_) => None,
+            Replay::Invariant(state) | Replay::Stem(state) | Replay::Keyed(state, _) => Some(state),
+        }
+    }
+
+    /// Whether subtasks replay stem contractions on a buffer pool.
+    fn pooled(&self) -> bool {
+        matches!(self, Replay::Stem(_) | Replay::Keyed(..))
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Batched multi-amplitude execution
-// ---------------------------------------------------------------------------
+/// Everything the workers of one call share.
+struct Sweep {
+    plan: Arc<SimulationPlan>,
+    shape: SweepShape,
+    replay: Replay,
+    batch: usize,
+}
 
-/// One worker's StemMixed-suffix tally for a batched execution: what the
-/// keyed cache executed and what it skipped. Executed + skipped always
-/// equals `mixed schedule length × bitstrings × subtasks run` — the exact
-/// mixed bill a loop of single executions pays.
+/// One worker's counters over a sweep.
 #[derive(Debug, Default, Clone, Copy)]
-struct MixedTally {
+struct SweepTally {
+    /// Stem flops executed.
     flops: u64,
-    contractions: u64,
+    /// The StemPure share of `flops`.
+    pure_flops: u64,
+    /// StemMixed work executed, and what keyed deduplication skipped.
+    /// Executed + skipped contractions always equal `mixed schedule length
+    /// × bitstrings × subtasks run` — the mixed bill a loop of single
+    /// executions pays.
+    mixed_flops: u64,
+    mixed_contractions: u64,
     skipped_flops: u64,
     skipped_contractions: u64,
+    gemm: GemmTally,
+    pool: PoolCounters,
 }
 
-impl MixedTally {
-    fn merge(&mut self, other: &MixedTally) {
+impl SweepTally {
+    fn merge(&mut self, other: &SweepTally) {
         self.flops += other.flops;
-        self.contractions += other.contractions;
+        self.pure_flops += other.pure_flops;
+        self.mixed_flops += other.mixed_flops;
+        self.mixed_contractions += other.mixed_contractions;
         self.skipped_flops += other.skipped_flops;
         self.skipped_contractions += other.skipped_contractions;
+        self.gemm.add(&other.gemm);
+        self.pool.merge(&other.pool);
     }
 }
 
-/// Execute the StemPure prefix of one slice assignment on the worker's
-/// buffer pool: pure leaves are gathered into pooled buffers, pure
-/// contractions replay through their kernels, and buffers consumed by a
-/// pure contraction are released immediately. What remains in the slot
-/// table afterwards is exactly the classification's StemPure keep set
-/// (plus the root when the whole stem is pure) — held there, still checked
-/// out of the pool, for every bitstring of the batch to read. Returns the
-/// replayed (pure) flop count.
-fn run_pure_prefix_pooled(
-    plan: &SimulationPlan,
-    exec: &StemExec,
-    frontier: &Frontier,
+/// Replay one slice assignment for the whole batch and merge every
+/// bitstring's result into its partial. `ws` is the worker's workspace,
+/// present exactly when the replay is pooled.
+fn run_assignment(
+    sweep: &Sweep,
     assignment: usize,
-    ws: &mut StemWorkspace,
-    gemm: &mut GemmTally,
-) -> Result<u64, Error> {
-    let cache = cache_of(plan)?;
-    let mut flops = 0u64;
-    // StemPure leaves carry a sliced edge but are never overridable, so
-    // they always read the plan's own leaf data.
-    for leaf in exec.leaves.iter().filter(|l| l.ordinal.is_none()) {
-        ws.load_leaf(leaf, &plan.build.nodes[leaf.vertex].data, assignment);
+    ws: Option<&mut StemWorkspace>,
+    partials: &mut [DenseTensor<Complex64>],
+    tally: &mut SweepTally,
+) -> Result<(), Error> {
+    let Sweep { plan, shape, replay, .. } = sweep;
+    let merge = |partial: &mut DenseTensor<Complex64>, result: &DenseTensor<Complex64>| {
+        merge_subtask(partial, result, &shape.sliced_open, &shape.sliced, assignment);
+    };
+    let root = plan.tree.root();
+    let mixed_len = plan.classification.stem_mixed_schedule().len() as u64;
+    match (replay, ws) {
+        (Replay::Full(projectors), _) => {
+            for (partial, projectors) in partials.iter_mut().zip(projectors) {
+                let (result, flops) =
+                    run_subtask(plan, projectors, &shape.sliced, assignment, &mut tally.gemm)?;
+                tally.flops += flops;
+                merge(partial, &result);
+            }
+        }
+        (Replay::Invariant(state), _) => {
+            for (b, partial) in partials.iter_mut().enumerate() {
+                merge(partial, &slice_invariant_root(plan, &state.exec, &state.frontier, b)?);
+            }
+        }
+        (Replay::Stem(state), Some(ws)) => {
+            let (flops, pure) =
+                run_subtask_stem_pooled(plan, state, assignment, true, ws, &mut tally.gemm)?;
+            tally.flops += flops;
+            tally.pure_flops += pure;
+            tally.mixed_flops += flops - pure;
+            tally.mixed_contractions += mixed_len;
+            let result = ws.root_tensor(&state.exec, root)?;
+            for partial in partials.iter_mut() {
+                merge(partial, &result);
+            }
+            // The root tensor's buffer goes back to the pool; its index set
+            // is recycled by the next subtask of this worker.
+            let (indices, buf) = result.into_parts();
+            ws.pool.release(buf, &mut ws.counters);
+            ws.root_indices = Some(indices);
+        }
+        (Replay::Keyed(state, order), Some(ws)) => {
+            let (pure, _) =
+                run_subtask_stem_pooled(plan, state, assignment, false, ws, &mut tally.gemm)?;
+            tally.flops += pure;
+            tally.pure_flops += pure;
+            // Acquire every mixed node's buffer up front (leaves, then step
+            // outputs — the lifetime simulation's exact sequence) and hold
+            // them across the whole bitstring loop: keyed recomputes
+            // overwrite in place, so the live set is constant and the first
+            // bitstring deterministically hits the predicted peak whatever
+            // keys the batch contains.
+            let exec = &state.exec;
+            for leaf in exec.leaves.iter().filter(|l| l.ordinal.is_some()) {
+                ws.slots[leaf.node] = Some(ws.pool.acquire(leaf.len, &mut ws.counters));
+            }
+            for step in exec.steps.iter().filter(|s| s.mixed) {
+                let len = step.kernel.output().len();
+                ws.slots[step.out] = Some(ws.pool.acquire(len, &mut ws.counters));
+            }
+            // The most-recent-key cache is invalidated per subtask: the
+            // first bitstring replays the full suffix.
+            ws.cached.fill(NONE);
+            for &b in order {
+                let (flops, executed, skipped) =
+                    run_mixed_suffix_keyed_pooled(plan, state, b, assignment, ws, &mut tally.gemm)?;
+                tally.flops += flops;
+                tally.mixed_flops += flops;
+                tally.mixed_contractions += executed;
+                tally.skipped_flops += skipped;
+                tally.skipped_contractions += mixed_len - executed;
+                // Merge this bitstring's root: borrow the held buffer as a
+                // tensor, then put it back for the next bitstring to reuse.
+                let result = ws.root_tensor(exec, root)?;
+                merge(&mut partials[b], &result);
+                let (indices, buf) = result.into_parts();
+                ws.slots[root] = Some(buf);
+                ws.root_indices = Some(indices);
+            }
+            // The batch is done with this subtask: the held StemPure keep
+            // set and mixed buffers go back to the pool.
+            ws.release_slots();
+        }
+        _ => return Err(Error::Internal("pooled replay without a workspace".into())),
     }
-    // A StemPure contraction's operands are StemPure (owned by the slot
-    // table and consumed here — a pure node consumed by a *mixed* step
-    // never shows up as a pure-step operand) or Branch (borrowed from the
-    // plan cache).
-    for step in exec.steps.iter().filter(|s| !s.mixed) {
-        replay_consuming(exec, cache, frontier, step, ws, gemm)?;
-        flops += step.kernel.flops();
-    }
-    Ok(flops)
+    Ok(())
 }
 
 /// Execute one bitstring's StemMixed suffix of one slice assignment on the
 /// worker's buffer pool, *keyed*: the caller acquired every mixed node's
-/// buffer up front and `cached` records the key id each buffer currently
-/// holds. A node whose key matches this bitstring's is skipped outright; a
+/// buffer up front and the workspace's `cached` table records the key id
+/// each buffer currently holds. A node whose key matches this bitstring's is skipped outright; a
 /// changed key recomputes the buffer **in place** (the contraction kernel
 /// overwrites its output, and leaves re-gather with `slice_into` from the
 /// projector table), so held buffers never cycle through the pool and only
@@ -2183,20 +2042,18 @@ fn run_pure_prefix_pooled(
 ///
 /// Returns `(executed flops, executed contractions, skipped flops)`. The
 /// root's value stays in the slot table for the caller to merge.
-#[allow(clippy::too_many_arguments)]
 fn run_mixed_suffix_keyed_pooled(
     plan: &SimulationPlan,
-    exec: &StemExec,
-    frontier: &Frontier,
-    cached: &mut [u32],
+    state: &ReuseState,
     bitstring: usize,
     assignment: usize,
     ws: &mut StemWorkspace,
     gemm: &mut GemmTally,
 ) -> Result<(u64, u64, u64), Error> {
+    let ReuseState { exec, frontier, .. } = state;
     let cache = cache_of(plan)?;
     let keys = &frontier.keys;
-    let StemWorkspace { pool, counters, slots, fix_buf, .. } = ws;
+    let StemWorkspace { pool, counters, slots, fix_buf, cached, .. } = ws;
     let mut flops = 0u64;
     let mut executed = 0u64;
     let mut skipped_flops = 0u64;
@@ -2207,7 +2064,7 @@ fn run_mixed_suffix_keyed_pooled(
         if cached[leaf.node] == kid {
             continue;
         }
-        let bit = keys.parts(leaf.node)[kid as usize].0 as usize;
+        let bit = keys.bit(leaf.node, kid);
         let buf = slots[leaf.node]
             .as_mut()
             .ok_or_else(|| Error::Internal(format!("mixed leaf buffer {} not held", leaf.node)))?;
@@ -2245,23 +2102,27 @@ fn run_mixed_suffix_keyed_pooled(
     Ok((flops, executed, skipped_flops))
 }
 
-/// Execute one plan for a whole batch of output bitstrings, amortizing the
-/// slice-dependent StemPure prefix across the batch.
+/// Execute one plan for a batch of output bitstrings — the executor's only
+/// entry: a single execution is a batch of one.
 ///
 /// Bitstrings are validated like [`qtn_circuit::NetworkBuild::rebind_output`]
-/// does, but no per-bitstring override is built: projector leaves read the
-/// compiled projector table by each bitstring's bit. With reuse enabled,
-/// every slice assignment contracts its StemPure prefix **once** and
-/// replays the StemMixed suffix once per distinct key, and the frontier is
-/// contracted once per distinct key of each frontier node — instead of the
-/// full stem plus a fresh frontier once per bitstring. Results are
-/// **bit-identical** to a loop of single [`execute_on_pool`] calls with the
-/// same configuration — per bitstring the same pairwise contractions
-/// produce every tensor and the partials reduce in the same worker order;
-/// batching only changes how often shared work is computed. The batched
-/// sweep always runs pooled (bit-identical to the unpooled replay). With
-/// reuse disabled the call falls back to exactly that loop of single
-/// executions.
+/// does (entries at open qubits are ignored); projector leaves read the
+/// compiled `[bit 0, bit 1]` projector table by each bitstring's bit. With
+/// reuse enabled, branch tensors come from the plan-lifetime
+/// [`BranchCache`], the frontier is contracted once per distinct key of each
+/// frontier node, and each subtask replays only the stem: the whole stem
+/// for a batch of one, else the StemPure prefix **once** and the StemMixed
+/// suffix once per distinct key. Results are **bit-identical** to a loop of
+/// batches of one with the same configuration — per bitstring the same
+/// pairwise contractions produce every tensor and the partials reduce in
+/// the same worker order; batching only changes how often shared work is
+/// computed. With reuse disabled every subtask replays the whole tree of
+/// every bitstring, bit-identically.
+///
+/// Deterministic: subtasks are statically strided over `config.workers`
+/// logical workers and each bitstring's partials are reduced in worker
+/// order, so the result is bit-identical across runs regardless of thread
+/// scheduling.
 ///
 /// The returned tensors are index-aligned with `bitstrings`; the
 /// [`ExecutionStats`] cover the whole batch, with
@@ -2289,345 +2150,181 @@ pub fn execute_amplitudes_on_pool(
     for bits in bitstrings {
         plan.build.validate_bits(bits)?;
     }
-    // A batch of one has nothing to amortize: delegate to the single-execute
-    // path and skip the batch bookkeeping (key tables, dedup order, partial
-    // accumulators) entirely. Identical results by construction — the
-    // batched path is defined as bit-identical to this very loop of singles.
-    if batch == 1 {
-        let overrides: LeafOverrides =
-            plan.build.rebind_output(bitstrings[0])?.into_iter().collect();
-        let rebind_seconds = start.elapsed().as_secs_f64();
-        let (result, mut stats) = execute_on_pool(pool, plan, &Arc::new(overrides), config)?;
-        stats.prepare_seconds += rebind_seconds;
-        stats.wall_seconds = start.elapsed().as_secs_f64();
-        return Ok((vec![result], stats));
-    }
-    if !config.reuse {
-        return execute_amplitudes_sequentially(pool, plan, bitstrings, config, start);
-    }
 
     let shape = SweepShape::of(plan, config);
     let SweepShape { run_subtasks, workers, .. } = shape;
-    let state = prepare_reuse(plan, LeafInput::Bitstrings(bitstrings))?;
-    let root_is_mixed = plan.classification.root_class() == NodeClass::StemMixed;
-    let order = Arc::new(if root_is_mixed {
-        mixed_dedup_order(&state.frontier.keys, &state.exec.mixed_priority)
+    let replay = if config.reuse {
+        let state = prepare_reuse(plan, bitstrings)?;
+        let root = plan.classification.root_class();
+        if !root.is_stem() {
+            Replay::Invariant(state)
+        } else if batch == 1 || root != NodeClass::StemMixed {
+            Replay::Stem(state)
+        } else {
+            let order = mixed_dedup_order(&state.frontier.keys, &state.exec.mixed_priority);
+            Replay::Keyed(state, order)
+        }
     } else {
-        (0..batch).collect()
-    });
-    let mixed_sched_len = plan.classification.stem_mixed_schedule().len() as u64;
+        let projectors = bitstrings
+            .iter()
+            .map(|bits| Ok(plan.build.rebind_output(bits)?.into_iter().collect()))
+            .collect::<Result<_, Error>>()?;
+        Replay::Full(projectors)
+    };
+    let persistent = config.pool;
+    let sweep = Arc::new(Sweep { plan: Arc::clone(plan), shape, replay, batch });
+
+    // Per-subtask timing starts after the serial front end so
+    // `seconds_per_subtask` prices a subtask of the parallel sweep, not an
+    // amortized share of the one-off builds.
     let sweep_start = Instant::now();
 
-    type BatchOutcome =
-        (Vec<DenseTensor<Complex64>>, u64, u64, MixedTally, GemmTally, PoolCounters);
-    let (tx, rx) = mpsc::channel::<(usize, Result<BatchOutcome, Error>)>();
+    type Outcome = (Vec<DenseTensor<Complex64>>, SweepTally);
+    let (tx, rx) = mpsc::channel::<(usize, Result<Outcome, Error>)>();
     for worker in 0..workers {
         let tx = tx.clone();
-        let plan = Arc::clone(plan);
-        let exec = Arc::clone(&state.exec);
-        let frontier = Arc::clone(&state.frontier);
-        let order = Arc::clone(&order);
-        let sliced = shape.sliced.clone();
-        let sliced_open = shape.sliced_open.clone();
-        let output_indices = shape.output_indices.clone();
+        let sweep = Arc::clone(&sweep);
         pool.submit(Box::new(move || {
-            let num_nodes = plan.tree.nodes().len();
-            let mut ws = exec
-                .root_is_stem
-                .then(|| StemWorkspace::new(num_nodes, plan.stem_pools.checkout(worker)));
-            // Same panic containment as the single-amplitude sweep: a
-            // panicking batched subtask becomes a typed `ExecutionPanic`
-            // and the held buffers still drain back to the pool below.
+            // With pooling on, the worker's buffer pool persists on the plan
+            // across executions (checked back in below, on success *and*
+            // error, so a failed execution never cools it) and only the very
+            // first execution of a plan allocates; otherwise it is a fresh
+            // pool, dropped with this call.
+            let stem_pools = &sweep.plan.stem_pools;
+            let mut ws = sweep.replay.pooled().then(|| {
+                let pool = if persistent { stem_pools.checkout(worker) } else { BufferPool::new() };
+                StemWorkspace::new(sweep.plan.tree.nodes().len(), pool)
+            });
+            let mut tally = SweepTally::default();
+            // A panicking subtask (injected or real) must fail only this
+            // execution, never the process: the unwind is caught at the job
+            // boundary and surfaces as a typed `ExecutionPanic`, and the
+            // workspace checkin below still runs.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut partials: Vec<DenseTensor<Complex64>> =
-                    (0..batch).map(|_| DenseTensor::zeros(output_indices.clone())).collect();
-                let mut flops = 0u64;
-                let mut pure_flops = 0u64;
-                let mut mixed = MixedTally::default();
-                let mut gemm = GemmTally::default();
-                // Most-recent-key cache of the keyed suffix, invalidated
-                // per subtask (the first bitstring of every subtask replays
-                // the full suffix, touching the peak).
-                let mut cached_keys: Vec<u32> = vec![NONE; num_nodes];
-                let root = plan.tree.root();
-                // Static striding over slice assignments, exactly like the
-                // single path: worker w owns subtasks w, w+W, w+2W, …
+                let mut partials: Vec<DenseTensor<Complex64>> = (0..sweep.batch)
+                    .map(|_| DenseTensor::zeros(sweep.shape.output_indices.clone()))
+                    .collect();
+                // Static striding: worker w owns subtasks w, w+W, w+2W, …
                 let mut assignment = worker;
                 while assignment < run_subtasks {
-                    let Some(ws) = ws.as_mut() else {
-                        // No stem at all (unsliced plan): every bitstring's
-                        // result is its slice-invariant root.
-                        for (b, partial) in partials.iter_mut().enumerate() {
-                            let result = slice_invariant_root(&plan, &exec, &frontier, b)?;
-                            merge_subtask(partial, &result, &sliced_open, &sliced, assignment);
-                        }
-                        assignment += workers;
-                        continue;
-                    };
-                    // Pure prefix once, then the keyed mixed suffix over
-                    // the batch in dedup order.
-                    let p =
-                        run_pure_prefix_pooled(&plan, &exec, &frontier, assignment, ws, &mut gemm)?;
-                    flops += p;
-                    pure_flops += p;
-                    if root_is_mixed {
-                        // Acquire every mixed node's buffer up front (leaves,
-                        // then step outputs — the lifetime simulation's exact
-                        // sequence) and hold them across the whole bitstring
-                        // loop: keyed recomputes overwrite in place, so the
-                        // live set is constant and the first bitstring
-                        // deterministically hits the predicted peak whatever
-                        // keys the batch contains.
-                        for leaf in exec.leaves.iter().filter(|l| l.ordinal.is_some()) {
-                            ws.slots[leaf.node] = Some(ws.pool.acquire(leaf.len, &mut ws.counters));
-                        }
-                        for step in exec.steps.iter().filter(|s| s.mixed) {
-                            let len = step.kernel.output().len();
-                            ws.slots[step.out] = Some(ws.pool.acquire(len, &mut ws.counters));
-                        }
-                        cached_keys.fill(NONE);
-                        for &b in order.iter() {
-                            let (m, executed, skipped) = run_mixed_suffix_keyed_pooled(
-                                &plan,
-                                &exec,
-                                &frontier,
-                                &mut cached_keys,
-                                b,
-                                assignment,
-                                ws,
-                                &mut gemm,
-                            )?;
-                            flops += m;
-                            mixed.flops += m;
-                            mixed.contractions += executed;
-                            mixed.skipped_flops += skipped;
-                            mixed.skipped_contractions += mixed_sched_len - executed;
-                            // Merge this bitstring's root: borrow the held
-                            // buffer as a tensor, then put it back for the
-                            // next bitstring to reuse.
-                            let result = ws.root_tensor(&exec, root)?;
-                            merge_subtask(
-                                &mut partials[b],
-                                &result,
-                                &sliced_open,
-                                &sliced,
-                                assignment,
-                            );
-                            let (indices, buf) = result.into_parts();
-                            ws.slots[root] = Some(buf);
-                            ws.root_indices = Some(indices);
-                        }
-                    } else {
-                        // The whole stem is StemPure: the prefix root *is*
-                        // every bitstring's subtask result.
-                        let result = ws.root_tensor(&exec, root)?;
-                        for partial in partials.iter_mut() {
-                            merge_subtask(partial, &result, &sliced_open, &sliced, assignment);
-                        }
-                        let (indices, buf) = result.into_parts();
-                        ws.pool.release(buf, &mut ws.counters);
-                        ws.root_indices = Some(indices);
-                    }
-                    // The batch is done with this subtask: the held StemPure
-                    // keep set goes back to the pool.
-                    ws.release_slots();
+                    run_assignment(&sweep, assignment, ws.as_mut(), &mut partials, &mut tally)?;
                     assignment += workers;
                 }
-                Ok((partials, flops, pure_flops, mixed, gemm))
+                Ok(partials)
             }))
             .unwrap_or_else(|payload| Err(Error::from_panic(payload)));
-            drop(frontier);
-            // Return the pool regardless of the outcome, draining any
-            // buffers a failed replay left behind.
-            let mut counters = PoolCounters::default();
+            // Buffers still sitting in the slot table of a failed replay are
+            // drained back first, so even an error leaves the free lists
+            // warm.
             if let Some(mut ws) = ws {
                 ws.release_slots();
-                counters = ws.counters;
-                plan.stem_pools.checkin(worker, ws.pool);
+                tally.pool = ws.counters;
+                if persistent {
+                    stem_pools.checkin(worker, ws.pool);
+                }
             }
-            let _ = tx.send((
-                worker,
-                outcome.map(|(partials, flops, pure, mixed, gemm)| {
-                    (partials, flops, pure, mixed, gemm, counters)
-                }),
-            ));
+            // The sweep handle goes before the result does, so the caller
+            // can reclaim the frontier buffers once every result is in.
+            drop(sweep);
+            let _ = tx.send((worker, outcome.map(|partials| (partials, tally))));
         }));
     }
     drop(tx);
 
     // Collect every worker's per-bitstring partials, then reduce each
-    // bitstring in worker order — the same schedule-independent summation
-    // order a loop of single executions uses.
-    let mut worker_partials: Vec<Option<BatchOutcome>> = (0..workers).map(|_| None).collect();
+    // bitstring in worker order so the summation order is
+    // schedule-independent.
+    let mut outcomes: Vec<Option<Outcome>> = (0..workers).map(|_| None).collect();
     for _ in 0..workers {
         let (worker, outcome) = rx
             .recv()
             .map_err(|_| Error::ExecutionPanic("an execution job was dropped unfinished".into()))?;
-        worker_partials[worker] = Some(outcome?);
+        outcomes[worker] = Some(outcome?);
     }
-    let mut worker_partials = worker_partials.into_iter();
-    let (
-        mut results,
-        mut stem_flops,
-        mut stem_pure_flops,
-        mut mixed_tally,
-        mut gemm_tally,
-        mut pool_counters,
-    ) = worker_partials
-        .next()
-        .flatten()
-        .ok_or_else(|| Error::Internal("missing worker partial".into()))?;
-    for slot in worker_partials {
-        let (partials, worker_flops, worker_pure, worker_mixed, worker_gemm, worker_counters) =
-            slot.ok_or_else(|| Error::Internal("missing worker partial".into()))?;
-        for (acc, partial) in results.iter_mut().zip(partials.iter()) {
+    let mut outcomes = outcomes.into_iter().flatten();
+    let (mut results, mut tally) =
+        outcomes.next().ok_or_else(|| Error::Internal("missing worker partial".into()))?;
+    for (partials, worker_tally) in outcomes {
+        for (acc, partial) in results.iter_mut().zip(&partials) {
             acc.accumulate(partial);
         }
-        stem_flops += worker_flops;
-        stem_pure_flops += worker_pure;
-        mixed_tally.merge(&worker_mixed);
-        gemm_tally.add(&worker_gemm);
-        pool_counters.merge(&worker_counters);
+        tally.merge(&worker_tally);
     }
     let sweep_wall = sweep_start.elapsed().as_secs_f64();
 
-    // A loop of single executions would replay the StemPure prefix once per
-    // subtask *per bitstring*; the batch ran it once per subtask.
-    let stem_pure_flops_reused = stem_pure_flops.saturating_mul(batch as u64 - 1);
-    // And a full (reuse-off) replay would additionally pay branch work plus
-    // one *undeduplicated* frontier build in every subtask of every
-    // bitstring — the structural per-bitstring frontier bill, not the
-    // (smaller) deduped total this call actually executed, so the batched
-    // path and the sequential fallback account the same baseline.
-    let frontier_flops_full: u64 = plan
-        .classification
-        .frontier_schedule()
-        .iter()
-        .map(|&(l, r, _)| {
-            let left = &plan.tree.node(l).indices;
-            let right = &plan.tree.node(r).indices;
-            let union = left.len() + right.iter().filter(|e| !left.contains(*e)).count();
-            8u64 << union
-        })
-        .sum();
-    let stem_mixed_distinct_keys = plan
-        .classification
-        .stem_mixed_schedule()
-        .iter()
-        .map(|&(_, _, out)| state.frontier.keys.distinct(out) as u64)
-        .sum();
+    let memory = match sweep.replay {
+        Replay::Keyed(..) => &plan.memory_plan.batched_stem,
+        _ => &plan.memory_plan.stem,
+    };
     let mut stats = ExecutionStats {
         subtasks_run: run_subtasks,
-        subtasks_total: shape.total_subtasks,
-        flops: stem_flops,
-        stem_flops,
-        stem_pure_flops,
-        stem_pure_flops_reused,
-        stem_pure_contractions: plan.classification.stem_pure_schedule().len() as u64
-            * run_subtasks as u64,
-        stem_mixed_flops: mixed_tally.flops,
-        stem_mixed_flops_reused: mixed_tally.skipped_flops,
-        stem_mixed_contractions: mixed_tally.contractions,
-        stem_mixed_contractions_deduped: mixed_tally.skipped_contractions,
-        stem_mixed_distinct_keys,
+        subtasks_total: sweep.shape.total_subtasks,
+        flops: tally.flops,
+        stem_flops: tally.flops,
+        stem_pure_flops: tally.pure_flops,
+        // A loop of single executions would replay the StemPure prefix once
+        // per subtask *per bitstring*; the batch ran it once per subtask.
+        stem_pure_flops_reused: tally.pure_flops.saturating_mul(batch as u64 - 1),
+        stem_mixed_flops: tally.mixed_flops,
+        stem_mixed_flops_reused: tally.skipped_flops,
+        stem_mixed_contractions: tally.mixed_contractions,
+        stem_mixed_contractions_deduped: tally.skipped_contractions,
         amplitudes_in_batch: batch as u64,
-        buffers_allocated: pool_counters.allocated,
-        buffers_reused: pool_counters.reused,
-        peak_bytes_in_flight: pool_counters.peak_in_flight_bytes,
-        predicted_peak_bytes: plan.memory_plan.batched_stem.peak_bytes(),
+        buffers_allocated: tally.pool.allocated,
+        buffers_reused: tally.pool.reused,
+        peak_bytes_in_flight: tally.pool.peak_in_flight_bytes,
+        predicted_peak_bytes: memory.peak_bytes(),
         prepare_seconds: (sweep_start - start).as_secs_f64(),
-        seconds_per_subtask: shape.seconds_per_subtask(sweep_wall),
+        seconds_per_subtask: sweep.shape.seconds_per_subtask(sweep_wall),
         workers,
         ..ExecutionStats::default()
     };
-    state.account(&mut stats, &mut gemm_tally);
-    stats.branch_flops_reused = state
-        .branch_flops_total
-        .saturating_add(frontier_flops_full)
-        .saturating_mul(batch as u64)
-        .saturating_mul(run_subtasks as u64)
-        .saturating_sub(state.frontier.flops)
-        .saturating_sub(state.branch_flops);
-    state.finish();
-    stats.apply_gemm(&gemm_tally);
-    stats.simd_level = qtn_tensor::simd_level().as_str();
-    stats.wall_seconds = start.elapsed().as_secs_f64();
-    Ok((results, stats))
-}
-
-/// The batched fallback: a plain loop of single executions, one per
-/// bitstring — what [`execute_amplitudes_on_pool`] degrades to when reuse
-/// is off, and the baseline the batched path is bit-identical to. `start`
-/// is the batched call's entry, so the clocks cover the rebinds too.
-fn execute_amplitudes_sequentially(
-    pool: &WorkerPool,
-    plan: &Arc<SimulationPlan>,
-    bitstrings: &[&[u8]],
-    config: &ExecutorConfig,
-    start: Instant,
-) -> Result<(Vec<DenseTensor<Complex64>>, ExecutionStats), Error> {
-    let mut results = Vec::with_capacity(bitstrings.len());
-    let mut stats = ExecutionStats::default();
-    for bits in bitstrings {
-        let rebind_start = Instant::now();
-        let overrides: LeafOverrides = plan.build.rebind_output(bits)?.into_iter().collect();
-        let rebind_seconds = rebind_start.elapsed().as_secs_f64();
-        let (result, s) = execute_on_pool(pool, plan, &Arc::new(overrides), config)?;
-        results.push(result);
-        stats.prepare_seconds += rebind_seconds + s.prepare_seconds;
-        stats.subtasks_run += s.subtasks_run;
-        stats.subtasks_total = s.subtasks_total;
-        stats.flops += s.flops;
-        stats.stem_flops += s.stem_flops;
-        stats.stem_pure_flops += s.stem_pure_flops;
-        stats.stem_pure_contractions += s.stem_pure_contractions;
-        stats.stem_mixed_flops += s.stem_mixed_flops;
-        stats.stem_mixed_flops_reused += s.stem_mixed_flops_reused;
-        stats.stem_mixed_contractions += s.stem_mixed_contractions;
-        stats.stem_mixed_contractions_deduped += s.stem_mixed_contractions_deduped;
-        stats.stem_mixed_distinct_keys += s.stem_mixed_distinct_keys;
-        stats.frontier_flops += s.frontier_flops;
-        stats.branch_flops += s.branch_flops;
-        stats.branch_flops_reused += s.branch_flops_reused;
-        stats.branch_contractions += s.branch_contractions;
-        stats.frontier_contractions += s.frontier_contractions;
-        stats.params_rebound += s.params_rebound;
-        stats.branch_entries_invalidated += s.branch_entries_invalidated;
-        stats.branch_flops_survived_rebind += s.branch_flops_survived_rebind;
-        stats.gemm_micro += s.gemm_micro;
-        stats.gemm_gemv += s.gemm_gemv;
-        stats.gemm_narrow += s.gemm_narrow;
-        stats.gemm_blocked += s.gemm_blocked;
-        stats.gemm_simd += s.gemm_simd;
-        stats.simd_level = s.simd_level;
-        stats.buffers_allocated += s.buffers_allocated;
-        stats.buffers_reused += s.buffers_reused;
-        stats.peak_bytes_in_flight = stats.peak_bytes_in_flight.max(s.peak_bytes_in_flight);
-        stats.predicted_peak_bytes = s.predicted_peak_bytes;
-        stats.workers = stats.workers.max(s.workers);
+    if let Some(state) = sweep.replay.state() {
+        state.account(&mut stats, &mut tally.gemm);
+        let cls = &plan.classification;
+        stats.stem_pure_contractions = cls.stem_pure_schedule().len() as u64 * run_subtasks as u64;
+        stats.stem_mixed_distinct_keys = cls
+            .stem_mixed_schedule()
+            .iter()
+            .map(|&(_, _, out)| state.frontier.keys.distinct(out) as u64)
+            .sum();
+        // A full replay would pay the branch work plus one
+        // *undeduplicated* frontier build in every subtask of every
+        // bitstring (branch tensors carry no sliced index, so their flop
+        // counts are identical in both modes).
+        let frontier_full: u64 = state.exec.frontier_steps.iter().map(|s| s.kernel.flops()).sum();
+        stats.branch_flops_reused = state
+            .branch_flops_total
+            .saturating_add(frontier_full)
+            .saturating_mul(batch as u64)
+            .saturating_mul(run_subtasks as u64)
+            .saturating_sub(state.frontier.flops)
+            .saturating_sub(state.branch_flops);
     }
-    stats.amplitudes_in_batch = bitstrings.len() as u64;
+    stats.apply_gemm(&tally.gemm);
+    stats.simd_level = qtn_tensor::simd_level().as_str();
+    // Every worker dropped its handle before sending: hand the frontier
+    // buffers back to the compiled program for the next call.
+    if let Ok(Sweep { replay, .. }) = Arc::try_unwrap(sweep) {
+        if let Some(ReuseState { exec, frontier, .. }) = replay.into_state() {
+            exec.recycle(frontier.tables);
+        }
+    }
     stats.wall_seconds = start.elapsed().as_secs_f64();
-    stats.seconds_per_subtask = if stats.subtasks_run > 0 {
-        stats.wall_seconds * stats.workers as f64 / stats.subtasks_run as f64
-    } else {
-        0.0
-    };
     Ok((results, stats))
 }
 
-/// Materialise one leaf for one slice assignment: substitute the execution's
-/// override for the leaf data, then slice away every sliced edge the tensor
-/// carries. Shared by the full-replay and stem-only paths so their leaf
-/// semantics can never diverge.
+/// Materialise one leaf for one slice assignment of the full replay:
+/// substitute the bitstring's projector data for a projector leaf, then
+/// slice away every sliced edge the tensor carries.
 fn sliced_leaf_tensor(
     plan: &SimulationPlan,
-    overrides: &LeafOverrides,
+    projectors: &Projectors,
     sliced: &[IndexId],
     assignment: usize,
     vertex: usize,
 ) -> DenseTensor<Complex64> {
-    let mut t = overrides.get(&vertex).unwrap_or(&plan.build.nodes[vertex].data).clone();
+    let mut t = projectors.get(&vertex).unwrap_or(&plan.build.nodes[vertex].data).clone();
     for (pos, &e) in sliced.iter().enumerate() {
         if t.indices().contains(e) {
             let bit = ((assignment >> pos) & 1) as u8;
@@ -2641,7 +2338,7 @@ fn sliced_leaf_tensor(
 /// Returns the subtask's root tensor and its flop count.
 fn run_subtask(
     plan: &SimulationPlan,
-    overrides: &LeafOverrides,
+    projectors: &Projectors,
     sliced: &[IndexId],
     assignment: usize,
     gemm: &mut GemmTally,
@@ -2651,10 +2348,11 @@ fn run_subtask(
     let mut slots: Vec<Option<DenseTensor<Complex64>>> = vec![None; num_nodes];
     let mut flops = 0u64;
 
-    // Leaves: apply output-rebinding overrides, slice away any sliced edges.
+    // Leaves: substitute the bitstring's projectors, slice away any sliced
+    // edges.
     for (node_id, node) in plan.tree.nodes().iter().enumerate() {
         if let Some(vertex) = node.leaf_vertex {
-            slots[node_id] = Some(sliced_leaf_tensor(plan, overrides, sliced, assignment, vertex));
+            slots[node_id] = Some(sliced_leaf_tensor(plan, projectors, sliced, assignment, vertex));
         }
     }
 
@@ -2673,80 +2371,6 @@ fn run_subtask(
         .take()
         .ok_or_else(|| Error::Internal("root tensor missing".into()))
         .map(|root| (root, flops))
-}
-
-/// Fetch a stem-replay operand: a stem intermediate owned by `slots`
-/// (consumed), a frontier tensor borrowed from `seeds`, or a branch tensor
-/// borrowed from the plan-lifetime `cache`.
-fn stem_operand<'a>(
-    slots: &mut [Option<DenseTensor<Complex64>>],
-    seeds: &'a [Option<DenseTensor<Complex64>>],
-    cache: &'a BranchCache,
-    id: usize,
-) -> Result<Cow<'a, DenseTensor<Complex64>>, Error> {
-    if let Some(t) = slots[id].take() {
-        return Ok(Cow::Owned(t));
-    }
-    seeds[id]
-        .as_ref()
-        .or_else(|| cache.tensor(id))
-        .map(Cow::Borrowed)
-        .ok_or_else(|| Error::Internal(format!("operand {id} missing from slots and caches")))
-}
-
-/// Execute one slice assignment replaying **only the stem**, allocating
-/// per contraction: Stem-class leaves are overridden and sliced to the
-/// assignment's values, Stem-class contractions are replayed in schedule
-/// order, and every slice-invariant operand is read from the execution's
-/// frontier `seeds` or the plan-lifetime branch cache. Returns the
-/// subtask's root tensor and the flop count of the replayed contractions,
-/// split as `(root, total_flops, pure_flops)`.
-fn run_subtask_stem(
-    plan: &SimulationPlan,
-    seeds: &[Option<DenseTensor<Complex64>>],
-    overrides: &LeafOverrides,
-    sliced: &[IndexId],
-    assignment: usize,
-    gemm: &mut GemmTally,
-) -> Result<(DenseTensor<Complex64>, u64, u64), Error> {
-    let cls = &plan.classification;
-    let root = plan.tree.root();
-    // `prepare_reuse` built the cache before any worker started.
-    let cache = cache_of(plan)?;
-    let num_nodes = plan.tree.nodes().len();
-    let mut slots: Vec<Option<DenseTensor<Complex64>>> = vec![None; num_nodes];
-    let mut flops = 0u64;
-    let mut pure_flops = 0u64;
-
-    // Stem leaves: apply output-rebinding overrides, slice away the sliced
-    // edges (every leaf carrying a sliced edge is stem-class by definition).
-    for (node_id, node) in plan.tree.nodes().iter().enumerate() {
-        if !cls.class(node_id).is_stem() {
-            continue;
-        }
-        if let Some(vertex) = node.leaf_vertex {
-            slots[node_id] = Some(sliced_leaf_tensor(plan, overrides, sliced, assignment, vertex));
-        }
-    }
-
-    // Replay the stem schedule, seeding slice-invariant operands from the
-    // frontier seeds or the plan-lifetime branch cache.
-    for &(l, r, out) in cls.stem_schedule() {
-        fault_contraction_tick();
-        let a = stem_operand(&mut slots, seeds, cache, l)?;
-        let b = stem_operand(&mut slots, seeds, cache, r)?;
-        let spec = ContractionSpec::new(a.indices(), b.indices());
-        flops += spec.flops();
-        gemm.record_spec(&spec);
-        if cls.class(out) == NodeClass::StemPure {
-            pure_flops += spec.flops();
-        }
-        slots[out] = Some(contract_pair(&a, &b));
-    }
-    slots[root]
-        .take()
-        .ok_or_else(|| Error::Internal("root tensor missing".into()))
-        .map(|t| (t, flops, pure_flops))
 }
 
 /// Merge a subtask result into the partial accumulator: stack over sliced
@@ -2793,6 +2417,17 @@ mod tests {
     use crate::planner::{plan_simulation, PlannerConfig};
     use qtn_circuit::{OutputSpec, RqcConfig};
     use qtn_statevector::StateVector;
+
+    /// Execute one bitstring through the one entry: a batch of one.
+    fn execute_one(
+        pool: &WorkerPool,
+        plan: &Arc<SimulationPlan>,
+        bits: &[u8],
+        config: &ExecutorConfig,
+    ) -> Result<(DenseTensor<Complex64>, ExecutionStats), Error> {
+        let (mut results, stats) = execute_amplitudes_on_pool(pool, plan, &[bits], config)?;
+        Ok((results.pop().expect("a batch of one has one result"), stats))
+    }
 
     fn check_amplitude_against_statevector(
         rows: usize,
@@ -2871,10 +2506,10 @@ mod tests {
         ));
         let pool = WorkerPool::new(4);
         let config = ExecutorConfig { workers: 4, max_subtasks: 0, ..Default::default() };
-        let overrides = Arc::new(LeafOverrides::new());
-        let (a, _) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+        let zeros = vec![0; n];
+        let (a, _) = execute_one(&pool, &plan, &zeros, &config).unwrap();
         for _ in 0..5 {
-            let (b, _) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+            let (b, _) = execute_one(&pool, &plan, &zeros, &config).unwrap();
             assert_eq!(a.data(), b.data(), "pooled execution must be deterministic");
         }
     }
@@ -2898,9 +2533,7 @@ mod tests {
             (0..n).map(|q| ((q + 1) % 2) as u8).collect(),
         ];
         for bits in patterns {
-            let overrides: LeafOverrides =
-                plan.build.rebind_output(&bits).unwrap().into_iter().collect();
-            let (result, _) = execute_on_pool(&pool, &plan, &Arc::new(overrides), &config).unwrap();
+            let (result, _) = execute_one(&pool, &plan, &bits, &config).unwrap();
             let expected = sv.amplitude(&bits);
             assert!(
                 (result.scalar_value() - expected).abs() < 1e-8,
@@ -2930,7 +2563,7 @@ mod tests {
             &PlannerConfig { target_rank: 20, ..Default::default() },
         ));
         let config = ExecutorConfig { workers: 2, max_subtasks: 0, ..Default::default() };
-        let result = execute_on_pool(&pool, &plan, &Arc::new(LeafOverrides::new()), &config);
+        let result = execute_one(&pool, &plan, &vec![0; n], &config);
         assert!(result.is_ok());
     }
 
@@ -3002,10 +2635,8 @@ mod tests {
             ExecutorConfig { workers: 4, max_subtasks: 0, reuse: false, ..Default::default() };
         for k in 0..4usize {
             let bits: Vec<u8> = (0..n).map(|q| ((k >> (q % 2)) & 1) as u8).collect();
-            let overrides: Arc<LeafOverrides> =
-                Arc::new(plan.build.rebind_output(&bits).unwrap().into_iter().collect());
-            let (a, sa) = execute_on_pool(&pool, &plan, &overrides, &reuse).unwrap();
-            let (b, sb) = execute_on_pool(&pool, &plan, &overrides, &replay).unwrap();
+            let (a, sa) = execute_one(&pool, &plan, &bits, &reuse).unwrap();
+            let (b, sb) = execute_one(&pool, &plan, &bits, &replay).unwrap();
             assert_eq!(a.data(), b.data(), "stem-only sweep must be bit-identical for {bits:?}");
             assert!(
                 sa.flops < sb.flops,
@@ -3034,17 +2665,17 @@ mod tests {
         let pool = WorkerPool::new(2);
         let config =
             ExecutorConfig { workers: 2, max_subtasks: 0, reuse: true, ..Default::default() };
-        let overrides = Arc::new(LeafOverrides::new());
+        let zeros = vec![0; n];
 
         // First execution builds the branch cache exactly once…
-        let (_, s1) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+        let (_, s1) = execute_one(&pool, &plan, &zeros, &config).unwrap();
         assert_eq!(s1.branch_contractions, branch as u64);
         assert_eq!(s1.frontier_contractions, frontier as u64);
         assert_eq!(s1.flops, s1.stem_flops + s1.frontier_flops + s1.branch_flops);
         assert!(plan.branch_cache_built());
 
         // …later executions only pay the frontier and the stem.
-        let (_, s2) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+        let (_, s2) = execute_one(&pool, &plan, &zeros, &config).unwrap();
         assert_eq!(s2.branch_contractions, 0);
         assert_eq!(s2.branch_flops, 0);
         assert_eq!(s2.frontier_contractions, frontier as u64);
@@ -3052,32 +2683,6 @@ mod tests {
         if s1.branch_flops + s1.frontier_flops > 0 && s1.subtasks_run > 1 {
             assert!(s2.branch_flops_reused > 0, "a sliced sweep must reuse branch work");
         }
-    }
-
-    #[test]
-    fn foreign_overrides_fall_back_to_full_replay() {
-        let circuit = RqcConfig::small(3, 3, 8, 2).build();
-        let n = circuit.num_qubits();
-        let plan = Arc::new(plan_simulation(
-            &circuit,
-            &OutputSpec::Amplitude(vec![0; n]),
-            &PlannerConfig { target_rank: 8, ..Default::default() },
-        ));
-        let pool = WorkerPool::new(2);
-        let config =
-            ExecutorConfig { workers: 2, max_subtasks: 0, reuse: true, ..Default::default() };
-        // Overriding a non-projector leaf (vertex 0 is an init tensor) with
-        // its own data must bypass the caches — the classification cannot
-        // vouch for it — and still produce the unmodified result.
-        let mut overrides = LeafOverrides::new();
-        overrides.insert(0, plan.build.nodes[0].data.clone());
-        let (a, stats) = execute_on_pool(&pool, &plan, &Arc::new(overrides), &config).unwrap();
-        assert_eq!(stats.frontier_contractions, 0, "reuse must be bypassed");
-        assert_eq!(stats.branch_contractions, 0);
-        assert!(!plan.branch_cache_built());
-        let (b, _) =
-            execute_on_pool(&pool, &plan, &Arc::new(LeafOverrides::new()), &config).unwrap();
-        assert_eq!(a.data(), b.data());
     }
 
     #[test]
@@ -3095,8 +2700,7 @@ mod tests {
         let pool = WorkerPool::new(1);
         let config =
             ExecutorConfig { workers: 1, max_subtasks: 0, reuse: true, ..Default::default() };
-        let (result, stats) =
-            execute_on_pool(&pool, &plan, &Arc::new(LeafOverrides::new()), &config).unwrap();
+        let (result, stats) = execute_one(&pool, &plan, &vec![0; n], &config).unwrap();
         assert_eq!(stats.stem_flops, 0, "nothing depends on a slice assignment");
         assert!(stats.flops > 0);
         let sv = StateVector::simulate(&circuit);
@@ -3117,19 +2721,31 @@ mod tests {
         let pool = WorkerPool::new(4);
         let pooled = ExecutorConfig { workers: 4, max_subtasks: 0, reuse: true, pool: true };
         let unpooled = ExecutorConfig { workers: 4, max_subtasks: 0, reuse: true, pool: false };
-        for k in 0..4usize {
-            let bits: Vec<u8> = (0..n).map(|q| ((k >> (q % 2)) & 1) as u8).collect();
-            let overrides: Arc<LeafOverrides> =
-                Arc::new(plan.build.rebind_output(&bits).unwrap().into_iter().collect());
-            let (a, sa) = execute_on_pool(&pool, &plan, &overrides, &pooled).unwrap();
-            let (b, sb) = execute_on_pool(&pool, &plan, &overrides, &unpooled).unwrap();
+        let slots = plan.memory_plan.stem.num_slots() as u64;
+        let patterns: Vec<Vec<u8>> =
+            (0..4usize).map(|k| (0..n).map(|q| ((k >> (q % 2)) & 1) as u8).collect()).collect();
+        // Unpooled calls first: none of them may leave a buffer on the plan.
+        let mut unpooled_runs = Vec::new();
+        for bits in &patterns {
+            let (b, sb) = execute_one(&pool, &plan, bits, &unpooled).unwrap();
+            // Every unpooled call sweeps on fresh pools: it starts cold,
+            // and its peak is still exactly the prediction.
+            assert_eq!(
+                sb.buffers_allocated,
+                sb.workers as u64 * slots,
+                "unpooled calls start cold"
+            );
+            assert_eq!(sb.peak_bytes_in_flight, sb.predicted_peak_bytes);
+            assert_eq!(plan.pooled_buffers_retained(), 0, "unpooled calls retain no buffers");
+            unpooled_runs.push((b, sb));
+        }
+        for (bits, (b, sb)) in patterns.iter().zip(&unpooled_runs) {
+            let (a, sa) = execute_one(&pool, &plan, bits, &pooled).unwrap();
             assert_eq!(a.data(), b.data(), "pooling must be bit-identical for {bits:?}");
             // The first call additionally builds the plan-lifetime branch
             // cache; the per-subtask and per-execution work must agree.
             assert_eq!(sa.stem_flops, sb.stem_flops, "pooling must not change the stem work");
             assert_eq!(sa.frontier_flops, sb.frontier_flops);
-            assert_eq!(sb.buffers_allocated, 0, "unpooled runs must not touch the pool");
-            assert_eq!(sb.peak_bytes_in_flight, 0);
         }
     }
 
@@ -3145,13 +2761,13 @@ mod tests {
         assert!(plan.num_subtasks() >= 4);
         let pool = WorkerPool::new(2);
         let config = ExecutorConfig { workers: 2, max_subtasks: 0, reuse: true, pool: true };
-        let overrides = Arc::new(LeafOverrides::new());
+        let zeros = vec![0; n];
         assert_eq!(plan.pooled_buffers_retained(), 0);
 
         // Cold pools: each worker allocates exactly the slot count the
         // greedy interval assignment predicted — once, on its first
         // subtask, regardless of how many subtasks it sweeps.
-        let (_, s1) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+        let (_, s1) = execute_one(&pool, &plan, &zeros, &config).unwrap();
         let slots = plan.memory_plan.stem.num_slots() as u64;
         assert!(slots > 0);
         assert_eq!(s1.buffers_allocated, s1.workers as u64 * slots);
@@ -3161,7 +2777,7 @@ mod tests {
         assert!(plan.pooled_buffers_retained() > 0, "pools persist on the plan");
 
         // Warm pools: the steady state allocates nothing at all.
-        let (_, s2) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+        let (_, s2) = execute_one(&pool, &plan, &zeros, &config).unwrap();
         assert_eq!(s2.buffers_allocated, 0, "second execution must be allocation-free");
         assert!(s2.buffers_reused >= s1.buffers_reused);
         assert_eq!(s2.peak_bytes_in_flight, s2.predicted_peak_bytes);
@@ -3179,18 +2795,13 @@ mod tests {
         assert!(plan.slicing.is_empty());
         let pool = WorkerPool::new(1);
         let config = ExecutorConfig { workers: 1, max_subtasks: 0, reuse: true, pool: true };
-        let (_, stats) =
-            execute_on_pool(&pool, &plan, &Arc::new(LeafOverrides::new()), &config).unwrap();
+        let (_, stats) = execute_one(&pool, &plan, &vec![0; n], &config).unwrap();
         // Nothing is slice-dependent: no pooled replay, no pool traffic,
         // and the stem-phase prediction is zero accordingly.
         assert_eq!(stats.buffers_allocated, 0);
         assert_eq!(stats.peak_bytes_in_flight, 0);
         assert_eq!(stats.predicted_peak_bytes, 0);
         assert_eq!(plan.pooled_buffers_retained(), 0);
-    }
-
-    fn rebind_one(plan: &SimulationPlan, bits: &[u8]) -> Arc<LeafOverrides> {
-        Arc::new(plan.build.rebind_output(bits).unwrap().into_iter().collect())
     }
 
     #[test]
@@ -3214,8 +2825,7 @@ mod tests {
             assert_eq!(results.len(), patterns.len());
             assert_eq!(stats.amplitudes_in_batch, patterns.len() as u64);
             for (bits, batched) in patterns.iter().zip(results.iter()) {
-                let (single, _) =
-                    execute_on_pool(&pool, &plan, &rebind_one(&plan, bits), &config).unwrap();
+                let (single, _) = execute_one(&pool, &plan, bits, &config).unwrap();
                 assert_eq!(
                     batched.data(),
                     single.data(),
@@ -3306,7 +2916,11 @@ mod tests {
         let (a, sa) = execute_amplitudes_on_pool(&pool, &plan, &batch, &reuse).unwrap();
         let (b, sb) = execute_amplitudes_on_pool(&pool, &plan, &batch, &replay).unwrap();
         for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.data(), y.data(), "fallback must be bit-identical to the batched path");
+            assert_eq!(
+                x.data(),
+                y.data(),
+                "the full replay must be bit-identical to the batched path"
+            );
         }
         assert_eq!(sb.stem_pure_flops, 0, "the full replay does not classify contractions");
         assert_eq!(sb.amplitudes_in_batch, patterns.len() as u64);
@@ -3476,7 +3090,7 @@ mod tests {
     /// The branch cache and compiled program of a plan, built directly.
     fn compiled(plan: &SimulationPlan) -> (BranchCache, StemExec) {
         let cache = build_branch_cache(plan).unwrap();
-        let exec = build_stem_exec(plan, &cache, &LeafOverrides::new()).unwrap();
+        let exec = build_stem_exec(plan, &cache).unwrap();
         (cache, exec)
     }
 

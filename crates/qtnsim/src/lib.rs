@@ -55,9 +55,7 @@
 //! # Ok::<(), qtnsim::Error>(())
 //! ```
 //!
-//! Every fallible operation returns [`Error`] instead of panicking; the
-//! legacy [`Simulator`] facade (panic-on-error, `&mut self`) remains as a
-//! thin shim over [`Engine`].
+//! Every fallible operation returns [`Error`] instead of panicking.
 //!
 //! ## Crate map
 //!
@@ -88,5 +86,5 @@ pub use qtn_tensor::{c64, Complex64, DenseTensor};
 pub use qtnsim_core::{
     execute_plan, plan_simulation, try_execute_plan, BufferPool, CompiledCircuit, Engine, Error,
     ExecutionReport, ExecutionStats, ExecutorConfig, OutputShape, PlannerConfig, PoolCounters,
-    Simulator, WorkerPool,
+    WorkerPool,
 };

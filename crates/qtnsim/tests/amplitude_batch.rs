@@ -8,7 +8,10 @@
 use qtnsim::circuit::{Gate, OutputSpec, ParamSlot, RqcConfig};
 use qtnsim::core::executor::execute_amplitudes_on_pool;
 use qtnsim::core::SimulationPlan;
-use qtnsim::{Circuit, Engine, Error, ExecutorConfig, PlannerConfig, WorkerPool};
+use qtnsim::{
+    try_execute_plan, Circuit, Engine, Error, ExecutionStats, ExecutorConfig, PlannerConfig,
+    WorkerPool,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -503,27 +506,113 @@ fn invalid_bit_deep_in_a_batch_is_a_typed_error() {
 fn execution_clocks_cover_the_front_end_and_the_sweep() {
     let circuit = sliced_circuit();
     let n = circuit.num_qubits();
-    let engine = Engine::with_configs(planner(), executor(true));
-    let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
     let bitstrings = random_bitstrings(n, 64, 12);
-
-    let (_, single) = compiled.execute_amplitude(&bitstrings[0]).unwrap();
-    for batch_size in [1usize, 64] {
-        let batch: Vec<&[u8]> = bitstrings[..batch_size].iter().map(Vec::as_slice).collect();
-        let (_, report) = compiled.execute_amplitudes(&batch).unwrap();
-        for stats in [&single.stats, &report.stats] {
-            assert!(stats.prepare_seconds > 0.0, "the front end takes time (B={batch_size})");
-            assert!(stats.prepare_seconds <= stats.wall_seconds);
-            // The sweep clock starts at the first submit, the wall clock at
-            // entry: the call is at least its front end plus its sweep.
-            let sweep =
-                stats.seconds_per_subtask * stats.subtasks_run as f64 / stats.workers as f64;
-            assert!(
-                stats.wall_seconds + 1e-9 >= stats.prepare_seconds + sweep,
-                "wall {} < prepare {} + sweep {sweep} (B={batch_size})",
-                stats.wall_seconds,
-                stats.prepare_seconds
-            );
+    // Every path, the full replay included, prices the sweep from the
+    // sweep clock alone.
+    for reuse in [true, false] {
+        let engine = Engine::with_configs(planner(), ExecutorConfig { reuse, ..executor(true) });
+        let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
+        let (_, single) = compiled.execute_amplitude(&bitstrings[0]).unwrap();
+        for batch_size in [1usize, 64] {
+            let batch: Vec<&[u8]> = bitstrings[..batch_size].iter().map(Vec::as_slice).collect();
+            let (_, report) = compiled.execute_amplitudes(&batch).unwrap();
+            for stats in [&single.stats, &report.stats] {
+                assert!(
+                    stats.prepare_seconds > 0.0,
+                    "the front end takes time (B={batch_size}, reuse={reuse})"
+                );
+                assert!(stats.prepare_seconds <= stats.wall_seconds);
+                // The sweep clock starts at the first submit, the wall clock
+                // at entry: the call is at least its front end plus its
+                // sweep.
+                let sweep =
+                    stats.seconds_per_subtask * stats.subtasks_run as f64 / stats.workers as f64;
+                assert!(
+                    stats.wall_seconds + 1e-9 >= stats.prepare_seconds + sweep,
+                    "wall {} < prepare {} + sweep {sweep} (B={batch_size}, reuse={reuse})",
+                    stats.wall_seconds,
+                    stats.prepare_seconds
+                );
+            }
         }
     }
+}
+
+/// The counters of an execution that are exact (work, buffers, bytes), as
+/// one comparable value.
+fn exact_counters(s: &ExecutionStats) -> Vec<u64> {
+    vec![
+        s.subtasks_run as u64,
+        s.amplitudes_in_batch,
+        s.flops,
+        s.stem_flops,
+        s.stem_pure_flops,
+        s.stem_mixed_flops,
+        s.frontier_flops,
+        s.branch_flops,
+        s.branch_flops_reused,
+        s.stem_pure_contractions,
+        s.stem_mixed_contractions,
+        s.frontier_contractions,
+        s.branch_contractions,
+        s.buffers_allocated,
+        s.buffers_reused,
+        s.peak_bytes_in_flight,
+        s.predicted_peak_bytes,
+    ]
+}
+
+#[test]
+fn a_single_execute_is_a_batch_of_one() {
+    let circuit = sliced_circuit();
+    let n = circuit.num_qubits();
+    let bitstrings = random_bitstrings(n, 4, 21);
+
+    // Sliced amplitude plan: two fresh engines, so the first calls compare
+    // cold (branch-cache build, pool warm-up) and the later ones warm.
+    let amplitude = OutputSpec::Amplitude(vec![0; n]);
+    let single = Engine::with_configs(planner(), executor(true)).compile(&circuit, &amplitude);
+    let batched = Engine::with_configs(planner(), executor(true)).compile(&circuit, &amplitude);
+    let (single, batched) = (single.unwrap(), batched.unwrap());
+    assert!(single.plan().num_subtasks() > 1, "test premise: the plan is sliced");
+    let stem = single.plan().memory_plan.stem.clone();
+    for bits in &bitstrings {
+        let (a, ra) = single.execute_amplitude(bits).unwrap();
+        let (b, rb) = batched.execute_amplitudes(&[bits]).unwrap();
+        assert_eq!(a, b[0], "a single execute must equal a batch of one for {bits:?}");
+        assert_eq!(exact_counters(&ra.stats), exact_counters(&rb.stats), "for {bits:?}");
+        assert_eq!(ra.stats.predicted_peak_bytes, stem.peak_bytes());
+        assert_eq!(ra.stats.peak_bytes_in_flight, ra.stats.predicted_peak_bytes);
+    }
+
+    // Sliced open plan: `execute_batch(fixed)` against the executor entry
+    // with `[fixed]`, on a second engine's plan.
+    let open = OutputSpec::Open { fixed: vec![0; n], open: vec![0, 3, 7] };
+    let single = Engine::with_configs(planner(), executor(true)).compile(&circuit, &open).unwrap();
+    let other = Engine::with_configs(planner(), executor(true)).compile(&circuit, &open).unwrap();
+    assert!(single.plan().num_subtasks() > 1, "test premise: the plan is sliced");
+    let plan = Arc::new(other.plan().clone());
+    let pool = WorkerPool::new(4);
+    for fixed in &bitstrings {
+        let (a, ra) = single.execute_batch(fixed).unwrap();
+        let (b, sb) = execute_amplitudes_on_pool(&pool, &plan, &[fixed], &executor(true)).unwrap();
+        let b = qtnsim::tensor::permute::permute_to_order(&b[0], a.indices());
+        assert_eq!(a.data(), b.data(), "execute_batch must equal a batch of one for {fixed:?}");
+        assert_eq!(exact_counters(&ra.stats), exact_counters(&sb), "for {fixed:?}");
+        assert_eq!(sb.predicted_peak_bytes, plan.memory_plan.stem.peak_bytes());
+    }
+}
+
+#[test]
+fn try_execute_plan_runs_the_bits_the_plan_was_built_for() {
+    let circuit = sliced_circuit();
+    let n = circuit.num_qubits();
+    let bits = random_bitstrings(n, 1, 23).remove(0);
+    let engine = Engine::with_configs(planner(), executor(true));
+    let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(bits.clone())).unwrap();
+    let (direct, _) = try_execute_plan(compiled.plan(), &executor(true)).unwrap();
+    let (amp, _) = compiled.execute_amplitude(&bits).unwrap();
+    assert_eq!(direct.scalar_value(), amp, "the plan's own bits, bit for bit");
+    let (zero, _) = compiled.execute_amplitude(&vec![0; n]).unwrap();
+    assert_ne!(amp, zero, "test premise: the amplitude differs from the all-zero one");
 }

@@ -2,7 +2,7 @@
 //! planning → sliced parallel execution → validation against the
 //! state-vector reference.
 
-use qtnsim::core::{execute_plan, plan_simulation, ExecutorConfig, PlannerConfig, Simulator};
+use qtnsim::core::{execute_plan, plan_simulation, ExecutorConfig, PlannerConfig};
 use qtnsim::statevector::StateVector;
 use qtnsim::{Circuit, Engine, Gate, OutputSpec, RqcConfig};
 
@@ -59,14 +59,15 @@ fn simulator_api_round_trip() {
     let circuit = RqcConfig::small(2, 4, 8, 11).build();
     let n = circuit.num_qubits();
     let sv = StateVector::simulate(&circuit);
-    let mut sim = Simulator::new(circuit)
-        .with_planner(PlannerConfig { target_rank: 8, ..Default::default() });
+    let engine = Engine::new().with_planner(PlannerConfig { target_rank: 8, ..Default::default() });
     // Closed amplitude.
     let bits = vec![0u8; n];
-    assert!((sim.amplitude(&bits) - sv.amplitude(&bits)).abs() < 1e-8);
+    let amplitude = engine.compile(&circuit, &OutputSpec::Amplitude(bits.clone())).unwrap();
+    assert!((amplitude.execute_amplitude(&bits).unwrap().0 - sv.amplitude(&bits)).abs() < 1e-8);
     // Open batch over three qubits.
     let open = vec![2usize, 5, 7];
-    let batch = sim.batch_amplitudes(&bits, &open);
+    let spec = OutputSpec::Open { fixed: bits.clone(), open: open.clone() };
+    let (batch, _) = engine.compile(&circuit, &spec).unwrap().execute_batch(&bits).unwrap();
     assert_eq!(batch.rank(), 3);
     for k in 0..8usize {
         let open_bits: Vec<u8> = (0..3).map(|a| ((k >> (2 - a)) & 1) as u8).collect();
@@ -98,9 +99,9 @@ fn ghz_circuit_with_every_gate_flavour() {
         .push1(Gate::Rx(1.1), 2)
         .push1(Gate::Ry(-0.7), 4);
     let sv = StateVector::simulate(&circuit);
-    let mut sim = Simulator::new(circuit);
+    let compiled = Engine::new().compile(&circuit, &OutputSpec::Amplitude(vec![0; 5])).unwrap();
     for bits in [[0, 0, 0, 0, 0], [1, 0, 1, 0, 1], [1, 1, 1, 1, 1]] {
-        assert!((sim.amplitude(&bits) - sv.amplitude(&bits)).abs() < 1e-9);
+        assert!((compiled.execute_amplitude(&bits).unwrap().0 - sv.amplitude(&bits)).abs() < 1e-9);
     }
 }
 
